@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-short race bench golden golden-update scale scale-update alloc alloc-update serve-smoke serve-load trace-smoke fuzz lint lint-external reprolint lint-fix clean
+.PHONY: check fmt vet build test test-short race bench perf perf-check golden golden-update scale scale-update alloc alloc-update serve-smoke serve-load trace-smoke fuzz lint lint-external reprolint lint-fix clean
 
 check: fmt vet build test
 
@@ -29,6 +29,22 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
+
+# The repository benchmark (BENCHMARK.json, perfbench/README.md): one
+# workload, W = topology | gossip | scale200 | service. Extra flags go
+# in PERF_ARGS, e.g. `make perf W=gossip PERF_ARGS="--trace 1"`.
+W ?= topology
+PERF_ARGS ?=
+perf:
+	bash perfbench/run.sh --workload $(W) $(PERF_ARGS)
+
+# perfbench is a nested module (repro/perfbench) that `go build ./...`
+# never sees, so an API change in the internal packages can break it
+# without any root test failing. This target vets and tests it against
+# the checkout; CI runs it in the check job.
+perf-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Golden regression corpus: every scenario preset's metrics digest is
 # pinned under testdata/golden/ (see golden_test.go). `make golden`

@@ -18,6 +18,7 @@ package repro
 // `make alloc`.
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -138,7 +139,7 @@ func measureRunAllocs(t *testing.T, spec scenario.Spec) uint64 {
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
-		if _, err := scenario.Run(spec); err != nil {
+		if _, err := scenario.RunContext(context.Background(), spec); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&ms)

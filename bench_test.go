@@ -10,6 +10,7 @@ package repro
 // EXPERIMENTS.md records the series and the paper-vs-measured comparison.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -35,7 +36,7 @@ import (
 func BenchmarkFig1Trustworthiness(b *testing.B) {
 	cfg := experiment.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		res := experiment.RunFig1(cfg)
+		res := experiment.Fig1(cfg)
 		if res.LiarFinalMax > 0.1 {
 			b.Fatalf("figure shape broken: liar final %v", res.LiarFinalMax)
 		}
@@ -47,7 +48,7 @@ func BenchmarkFig1Trustworthiness(b *testing.B) {
 func BenchmarkFig2ForgettingFactor(b *testing.B) {
 	cfg := experiment.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		res := experiment.RunFig2(cfg)
+		res := experiment.Fig2(cfg)
 		if !res.HighReachedDefault {
 			b.Fatal("figure shape broken: no relaxation to default")
 		}
@@ -59,7 +60,7 @@ func BenchmarkFig2ForgettingFactor(b *testing.B) {
 func BenchmarkFig3LiarImpact(b *testing.B) {
 	cfg := experiment.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		res := experiment.RunFig3(cfg, []int{1, 4, 7})
+		res := experiment.NewRunner(cfg.Seed, 0).Fig3(cfg, []int{1, 4, 7})
 		for name, final := range res.Final {
 			if final > -0.7 {
 				b.Fatalf("figure shape broken: %s final %v", name, final)
@@ -72,12 +73,10 @@ func BenchmarkFig3LiarImpact(b *testing.B) {
 // random-waypoint mobility, measuring the whole detection pipeline.
 func BenchmarkXMobilityImpact(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiment.RunFullStack(experiment.FullStackConfig{
-			Seed:     int64(i + 1),
-			Speed:    2,
-			Duration: 2 * time.Minute,
-			AttackAt: 45 * time.Second,
-		})
+		spec := experiment.FullStackSpec(int64(i+1), 16, 2, 2*time.Minute, 45*time.Second, "phantom")
+		if _, err := scenario.RunContext(context.Background(), spec); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -85,7 +84,7 @@ func BenchmarkXMobilityImpact(b *testing.B) {
 // on a 16-node network with one investigation campaign.
 func BenchmarkXOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := experiment.RunOverheadSweep(int64(i+1), []int{16})
+		pts := experiment.NewRunner(int64(i+1), 0).OverheadSweep([]int{16})
 		if pts[0].OLSRMessages == 0 {
 			b.Fatal("no routing traffic")
 		}
@@ -96,7 +95,7 @@ func BenchmarkXOverhead(b *testing.B) {
 // unrecognized-zone occupancy across confidence levels and sample sizes.
 func BenchmarkXConfidenceInterval(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiment.RunCISweep(int64(i+1), []float64{0.90, 0.95, 0.99}, []int{5, 15, 45}, 0.26)
+		experiment.NewRunner(int64(i+1), 0).CISweep([]float64{0.90, 0.95, 0.99}, []int{5, 15, 45}, 0.26)
 	}
 }
 
@@ -105,7 +104,7 @@ func BenchmarkXConfidenceInterval(b *testing.B) {
 func BenchmarkXAblationUnweighted(b *testing.B) {
 	cfg := experiment.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		res := experiment.RunAblation(cfg)
+		res := experiment.NewRunner(cfg.Seed, 0).Ablation(cfg)
 		if res.FinalWeighted >= res.FinalUniform {
 			b.Fatal("ablation shape broken")
 		}
@@ -117,7 +116,7 @@ func BenchmarkXAblationUnweighted(b *testing.B) {
 func BenchmarkXAblationCumulativeCI(b *testing.B) {
 	cfg := experiment.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		res := experiment.RunCIAccumulationAblation(cfg)
+		res := experiment.NewRunner(cfg.Seed, 0).CIAccumulationAblation(cfg)
 		if res.CumulativeRound < 0 {
 			b.Fatal("cumulative CI never convicted")
 		}
@@ -128,7 +127,7 @@ func BenchmarkXAblationCumulativeCI(b *testing.B) {
 // storm and drop baseline attacks on the packet-level stack.
 func BenchmarkXBaselineAttacks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiment.RunBaselines(int64(i + 1))
+		res := experiment.NewRunner(int64(i+1), 0).Baselines()
 		if !res.StormFlagged {
 			b.Fatal("storm undetected")
 		}
@@ -170,7 +169,9 @@ func BenchmarkEngineFigures(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			eng := experiment.NewRunner(cfg.Seed, workers)
 			for i := 0; i < b.N; i++ {
-				eng.Figures(cfg, []int{1, 2, 4, 6, 7})
+				if _, err := eng.Figures(context.Background(), cfg, []int{1, 2, 4, 6, 7}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -339,7 +340,7 @@ func BenchmarkScenarioLinkspoof(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := scenario.Run(spec)
+		res, err := scenario.RunContext(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -361,7 +362,7 @@ func BenchmarkScenarioTrace(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := scenario.Run(spec); err != nil {
+			if _, err := scenario.RunContext(context.Background(), spec); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -370,7 +371,7 @@ func BenchmarkScenarioTrace(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			rec := &trace.Recorder{}
-			if _, err := scenario.RunTraced(spec, rec); err != nil {
+			if _, err := scenario.RunContextTraced(context.Background(), spec, rec); err != nil {
 				b.Fatal(err)
 			}
 			if rec.Len() == 0 {
@@ -407,7 +408,7 @@ func BenchmarkScenarioReputation(b *testing.B) {
 		b.Run(arm, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := scenario.Run(spec); err != nil {
+				if _, err := scenario.RunContext(context.Background(), spec); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -422,7 +423,7 @@ func BenchmarkScenarioMatrix(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiment.NewRunner(0, workers).ScenarioMatrix(specs); err != nil {
+				if _, err := experiment.NewRunner(0, workers).Scenarios(context.Background(), specs, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

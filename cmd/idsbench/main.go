@@ -27,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -36,7 +37,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/experiment"
 	"repro/internal/scenario"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -119,14 +119,22 @@ func run() error {
 				specs[i].Seed = *seed
 			}
 		}
-		digests, err := runScenarioMatrix(eng, camp, specs)
+		// With -trace every preset also writes its NDJSON run trace into
+		// the named directory. The digests are identical either way —
+		// tracing is pure observation — so the traced matrix is still the
+		// golden-corpus check.
+		var tracePath func(int) string
+		if camp.HasTrace() {
+			tracePath = func(i int) string { return filepath.Join(camp.Trace, specs[i].Name+".ndjson") }
+		}
+		results, err := eng.Scenarios(context.Background(), specs, tracePath)
 		if err != nil {
 			return err
 		}
 		fmt.Println("X6: scenario preset matrix (internal/scenario)")
 		fmt.Printf("%-18s %-16s\n", "scenario", "digest")
-		for i, d := range digests {
-			fmt.Printf("%-18s %-16s\n", specs[i].Name, d.Hash)
+		for i, res := range results {
+			fmt.Printf("%-18s %-16s\n", specs[i].Name, res.Digest().Hash)
 		}
 		if camp.HasTrace() {
 			fmt.Printf("traces: %s/<scenario>.ndjson\n", camp.Trace)
@@ -151,23 +159,24 @@ func run() error {
 			grid.Radio.Medium = "grid"
 			scan.Radio.Medium = "scan"
 			gridStart := time.Now()
-			gd, err := eng.ScenarioMatrix([]scenario.Spec{grid})
+			gr, err := scenario.RunContext(context.Background(), grid)
 			if err != nil {
 				return err
 			}
 			gridWall := time.Since(gridStart)
 			scanStart := time.Now()
-			sd, err := eng.ScenarioMatrix([]scenario.Spec{scan})
+			sr, err := scenario.RunContext(context.Background(), scan)
 			if err != nil {
 				return err
 			}
 			scanWall := time.Since(scanStart)
-			if gd[0] != sd[0] {
+			gd, sd := gr.Digest(), sr.Digest()
+			if gd != sd {
 				return fmt.Errorf("scale %s: medium digests diverge: grid %s, scan %s",
-					s.Name, gd[0].Hash, sd[0].Hash)
+					s.Name, gd.Hash, sd.Hash)
 			}
 			fmt.Printf("%-22s %6d %8s %-16s %10s %10s %7.1fx\n",
-				s.Name, s.Nodes, s.WithDefaults().Duration, gd[0].Hash,
+				s.Name, s.Nodes, s.WithDefaults().Duration, gd.Hash,
 				gridWall.Round(10*time.Millisecond), scanWall.Round(10*time.Millisecond),
 				float64(scanWall)/float64(gridWall))
 		}
@@ -217,37 +226,4 @@ func run() error {
 		return fmt.Errorf("unknown -sweep %q", *sweep)
 	}
 	return nil
-}
-
-// runScenarioMatrix runs the preset matrix; with -trace it additionally
-// writes one NDJSON run trace per preset into the named directory. The
-// digests are identical either way — tracing is pure observation — so
-// the traced matrix is still the golden-corpus check.
-func runScenarioMatrix(eng *experiment.Runner, camp *cliutil.Campaign, specs []scenario.Spec) ([]scenario.Digest, error) {
-	if !camp.HasTrace() {
-		return eng.ScenarioMatrix(specs)
-	}
-	if err := os.MkdirAll(camp.Trace, 0o755); err != nil {
-		return nil, fmt.Errorf("trace dir: %w", err)
-	}
-	digests := make([]scenario.Digest, len(specs))
-	for i, s := range specs {
-		f, err := os.Create(filepath.Join(camp.Trace, s.Name+".ndjson")) //nolint:gosec // operator-supplied directory
-		if err != nil {
-			return nil, err
-		}
-		sink := trace.NewWriter(f)
-		res, err := scenario.RunTraced(s, sink)
-		if err == nil {
-			err = sink.Err()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-		digests[i] = res.Digest()
-	}
-	return digests, nil
 }

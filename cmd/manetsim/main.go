@@ -29,9 +29,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/cliutil"
 	"repro/internal/experiment"
 	"repro/internal/scenario"
@@ -85,57 +85,36 @@ func run() error {
 		return fmt.Errorf("-trace needs a declarative scenario; combine it with -scenario")
 	}
 
-	var mode attack.SpoofMode
-	switch *attackS {
-	case "phantom":
-		mode = attack.SpoofPhantom
-	case "claim":
-		mode = attack.SpoofClaim
-	case "omit":
-		mode = attack.SpoofOmit
+	mode, at := *attackS, *attackAt
+	switch mode {
+	case "phantom", "claim", "omit":
 	case "none":
-		mode = 0
+		// No attack: a phantom spoofer whose activation lies beyond the run.
+		mode, at = "phantom", *duration+time.Hour
 	default:
 		return fmt.Errorf("unknown -attack %q", *attackS)
 	}
-
-	cfg := experiment.FullStackConfig{
-		Seed:     *seed,
-		Nodes:    *nodes,
-		Speed:    *speed,
-		Duration: *duration,
-		AttackAt: *attackAt,
-		Liars:    *liars,
-	}
-	if mode != 0 {
-		cfg.SpoofMode = mode
-	} else {
-		// No attack: push the spoof activation beyond the run.
-		cfg.AttackAt = *duration + time.Hour
-	}
+	spec := experiment.FullStackSpec(*seed, *nodes, *speed, *duration, at, mode)
+	spec.Liars = *liars
 
 	fmt.Printf("manetsim: %d nodes, speed %.1f m/s, attack=%s at %s, %d liars, seed %d\n",
 		*nodes, *speed, *attackS, *attackAt, *liars, *seed)
 
-	if *trials <= 1 {
-		report(eng.FullStack(cfg))
+	// Trials are a seeded fan on the engine (experiment.TrialSeed): trial 0
+	// keeps the root seed, so a -trials 1 run is reproducible as the first
+	// trial of a larger campaign.
+	runs, err := eng.Scenarios(context.Background(), experiment.TrialSpecs(spec, *trials), nil)
+	if err != nil {
+		return err
+	}
+	if len(runs) == 1 {
+		report(experiment.ReduceFullStack(runs[0]))
 		return nil
 	}
-
-	// Repeated trials: fan the scenario out with derived per-trial seeds
-	// and summarize. Trial 0 reuses the root seed verbatim so a -trials 1
-	// run is reproducible as the first trial of a larger campaign.
-	results := make([]*experiment.FullStackResult, *trials)
-	eng.ForEach(*trials, func(i int) {
-		c := cfg
-		if i > 0 {
-			c.Seed = eng.TaskSeed("manetsim-trial", 0, i)
-		}
-		results[i] = experiment.RunFullStack(c)
-	})
 	detected, falsePos := 0, 0
 	var totalDelay time.Duration
-	for i, res := range results {
+	for i, run := range runs {
+		res := experiment.ReduceFullStack(run)
 		fmt.Printf("trial %2d: %s\n", i, res)
 		switch {
 		case res.Convicted:
@@ -147,8 +126,8 @@ func run() error {
 	}
 	fmt.Println()
 	fmt.Println("== campaign summary ==")
-	fmt.Printf("  detected:        %d/%d\n", detected, *trials)
-	fmt.Printf("  false positives: %d/%d\n", falsePos, *trials)
+	fmt.Printf("  detected:        %d/%d\n", detected, len(runs))
+	fmt.Printf("  false positives: %d/%d\n", falsePos, len(runs))
 	if detected > 0 {
 		fmt.Printf("  mean delay:      %s\n", totalDelay/time.Duration(detected))
 	}
@@ -187,7 +166,7 @@ func runScenario(eng *experiment.Runner, camp *cliutil.Campaign, trials int) err
 		if err != nil {
 			return err
 		}
-		res, err := scenario.RunTraced(spec, sink)
+		res, err := scenario.RunContextTraced(context.Background(), spec, sink)
 		if cerr := closeTrace(); err == nil {
 			err = cerr
 		}
@@ -199,13 +178,15 @@ func runScenario(eng *experiment.Runner, camp *cliutil.Campaign, trials int) err
 	case camp.HasTrace():
 		// A trial fan writes one trace per trial into a directory; the
 		// file layout is experiment.TraceFileName.
-		results, err = eng.ScenarioTrialsTracedContext(context.Background(), spec, trials, camp.Trace)
+		results, err = eng.Scenarios(context.Background(), experiment.TrialSpecs(spec, trials), func(i int) string {
+			return filepath.Join(camp.Trace, experiment.TraceFileName(i))
+		})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("traces: %s/%s .. %s\n", camp.Trace, experiment.TraceFileName(0), experiment.TraceFileName(trials-1))
 	default:
-		results, err = eng.ScenarioTrials(spec, trials)
+		results, err = eng.Scenarios(context.Background(), experiment.TrialSpecs(spec, trials), nil)
 		if err != nil {
 			return err
 		}

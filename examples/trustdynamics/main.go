@@ -69,6 +69,6 @@ func main() {
 	cfg.Nodes = 8
 	cfg.Liars = 2
 	cfg.Rounds = 12
-	fmt.Println(experiment.RunFig1(cfg).Table.Render())
-	fmt.Println(experiment.RunFig2(cfg).Table.Render())
+	fmt.Println(experiment.Fig1(cfg).Table.Render())
+	fmt.Println(experiment.Fig2(cfg).Table.Render())
 }

@@ -14,6 +14,7 @@ package repro
 // (or `make golden-update`) and review the diff like any other code.
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -40,14 +41,18 @@ func mediumMatrix(t *testing.T, specs []scenario.Spec, workers int) []scenario.D
 		scan[i].Radio.Medium = "scan"
 		grid[i].Radio.Medium = "grid"
 	}
-	scanD, err := experiment.NewRunner(0, workers).ScenarioMatrix(scan)
-	if err != nil {
-		t.Fatal(err)
+	digests := func(specs []scenario.Spec) []scenario.Digest {
+		res, err := experiment.NewRunner(0, workers).Scenarios(context.Background(), specs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]scenario.Digest, len(res))
+		for i, r := range res {
+			out[i] = r.Digest()
+		}
+		return out
 	}
-	gridD, err := experiment.NewRunner(0, workers).ScenarioMatrix(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scanD, gridD := digests(scan), digests(grid)
 	for i := range specs {
 		if scanD[i] != gridD[i] {
 			t.Errorf("%s: digest differs between mediums at %d workers:\n--- scan\n%s\n--- grid\n%s",

@@ -12,7 +12,7 @@
 //
 // Determinism discipline carries over from the engine: run seeds are
 // expanded at submit time through experiment.TrialSeed — the same
-// function ScenarioTrials uses — so a campaign submitted over HTTP
+// function experiment.TrialSpecs uses — so a campaign submitted over HTTP
 // produces metrics digests byte-identical to a direct engine run of the
 // same Specs and seeds, regardless of queue position, worker count or
 // concurrent tenants.

@@ -82,13 +82,13 @@ func TestSubmitRunsToDone(t *testing.T) {
 
 // TestDigestsMatchDirectEngineRun is the determinism keystone: a
 // campaign through the service plane produces byte-identical canonical
-// digests to ScenarioTrials on a bare engine — same spec, same seeds.
+// digests to a trial fan on a bare engine — same spec, same seeds.
 func TestDigestsMatchDirectEngineRun(t *testing.T) {
 	const trials = 4
 	spec := tinySpec(42)
 
 	eng := experiment.NewRunner(spec.Seed, 2)
-	direct, err := eng.ScenarioTrials(spec, trials)
+	direct, err := eng.Scenarios(context.Background(), experiment.TrialSpecs(spec, trials), nil)
 	if err != nil {
 		t.Fatalf("engine run: %v", err)
 	}

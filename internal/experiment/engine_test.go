@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/trust"
 )
 
@@ -23,8 +25,8 @@ func TestDeriveSeedStable(t *testing.T) {
 		{42, "x1-mobility", 3, 7, -567676116528905925},
 	}
 	for _, g := range golden {
-		if got := DeriveSeed(g.root, g.sweep, g.point, g.trial); got != g.want {
-			t.Errorf("DeriveSeed(%d, %q, %d, %d) = %d, want %d",
+		if got := scenario.DeriveSeed(g.root, g.sweep, g.point, g.trial); got != g.want {
+			t.Errorf("scenario.DeriveSeed(%d, %q, %d, %d) = %d, want %d",
 				g.root, g.sweep, g.point, g.trial, got, g.want)
 		}
 	}
@@ -33,15 +35,15 @@ func TestDeriveSeedStable(t *testing.T) {
 func TestDeriveSeedDistinct(t *testing.T) {
 	// Every coordinate must perturb the seed: colliding streams would
 	// silently correlate "independent" trials.
-	base := DeriveSeed(1, "sweep", 2, 3)
+	base := scenario.DeriveSeed(1, "sweep", 2, 3)
 	variants := []int64{
-		DeriveSeed(2, "sweep", 2, 3),
-		DeriveSeed(1, "sweep2", 2, 3),
-		DeriveSeed(1, "sweep", 3, 3),
-		DeriveSeed(1, "sweep", 2, 4),
+		scenario.DeriveSeed(2, "sweep", 2, 3),
+		scenario.DeriveSeed(1, "sweep2", 2, 3),
+		scenario.DeriveSeed(1, "sweep", 3, 3),
+		scenario.DeriveSeed(1, "sweep", 2, 4),
 		// Field boundaries must not be ambiguous: (point, trial) swaps
 		// and string/int concatenation overlaps must differ.
-		DeriveSeed(1, "sweep", 3, 2),
+		scenario.DeriveSeed(1, "sweep", 3, 2),
 	}
 	seen := map[int64]bool{base: true}
 	for i, v := range variants {
@@ -110,7 +112,7 @@ func TestTaskSeedNilRunner(t *testing.T) {
 	// A nil runner degrades to root seed 0 / GOMAXPROCS workers rather
 	// than panicking, so zero-value plumbing stays safe.
 	var r *Runner
-	if got, want := r.TaskSeed("s", 1, 2), DeriveSeed(0, "s", 1, 2); got != want {
+	if got, want := r.TaskSeed("s", 1, 2), scenario.DeriveSeed(0, "s", 1, 2); got != want {
 		t.Errorf("nil runner TaskSeed = %d, want %d", got, want)
 	}
 	if r.workerCount() <= 0 {
@@ -126,7 +128,10 @@ func snapshotAll(workers int, full bool) string {
 	cfg := DefaultConfig()
 	cfg.Seed = 7
 
-	figs := eng.Figures(cfg, []int{1, 4, 7})
+	figs, err := eng.Figures(context.Background(), cfg, []int{1, 4, 7})
+	if err != nil {
+		panic(err) // a background context never cancels
+	}
 	b.WriteString(figs.Fig1.Table.Render())
 	fmt.Fprintf(&b, "%+v\n", figs.Fig1.LiarFinalMax)
 	b.WriteString(figs.Fig2.Table.Render())

@@ -11,6 +11,7 @@ package experiment
 // that degrade the plain plane.
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -85,9 +86,9 @@ func (r *Runner) ForgerSweep(trials int, counts []int) []ForgerPoint {
 		trial := (task / arms) % trials
 		evidence := task%arms == 0
 		seed := r.TaskSeed(forgerSweepID, point, trial)
-		res, err := scenario.Run(forgerSpec(seed, counts[point], evidence))
+		res, err := scenario.RunContext(context.TODO(), forgerSpec(seed, counts[point], evidence))
 		if err != nil {
-			// Specs are built above and validated in Run; an error here is
+			// Specs are built above and validated by the run; an error here is
 			// a programming bug, and the zero trial keeps the grid shape.
 			return forgerTrial{}
 		}
@@ -134,9 +135,4 @@ func (r *Runner) ForgerSweep(trials int, counts []int) []ForgerPoint {
 		out = append(out, p)
 	}
 	return out
-}
-
-// RunForgerSweep is the single-shot convenience wrapper.
-func RunForgerSweep(seed int64, trials int, counts []int) []ForgerPoint {
-	return NewRunner(seed, 0).ForgerSweep(trials, counts)
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/trust"
@@ -16,42 +15,6 @@ import (
 // packet-level simulation — OLSR, audit logs, signatures, investigations
 // over the control plane — rather than the round-based abstraction of
 // Figures 1-3.
-
-// FullStackConfig parameterizes the packet-level scenarios.
-type FullStackConfig struct {
-	Seed      int64
-	Nodes     int           // population (default 16)
-	ArenaSide float64       // square arena side in meters (default 500)
-	Range     float64       // radio range (default 200)
-	Speed     float64       // max node speed m/s (0 = static)
-	Duration  time.Duration // total simulated time (default 5 min)
-	AttackAt  time.Duration // when the spoof starts (default 60s)
-	SpoofMode attack.SpoofMode
-	Liars     int
-	DetectAll bool // run a detector on every node (default: victim only)
-}
-
-func (c FullStackConfig) withDefaults() FullStackConfig {
-	if c.Nodes <= 0 {
-		c.Nodes = 16
-	}
-	if c.ArenaSide <= 0 {
-		c.ArenaSide = 500
-	}
-	if c.Range <= 0 {
-		c.Range = 200
-	}
-	if c.Duration <= 0 {
-		c.Duration = 5 * time.Minute
-	}
-	if c.AttackAt <= 0 {
-		c.AttackAt = time.Minute
-	}
-	if c.SpoofMode == 0 {
-		c.SpoofMode = attack.SpoofPhantom
-	}
-	return c
-}
 
 // FullStackResult summarizes one packet-level run.
 type FullStackResult struct {
@@ -68,99 +31,49 @@ type FullStackResult struct {
 	FinalSpooferTru float64
 }
 
-// Spec converts the config into the equivalent declarative scenario
-// (victim = node 1, attacker = last node pinned beside the victim, liars
-// among the victim's neighbors-by-index). The conversion is exact: the
-// scenario builder replays the same construction order and seed tree, so
-// a given config produces bit-identical runs through either surface.
-func (c FullStackConfig) Spec() scenario.Spec {
-	c = c.withDefaults()
+// FullStackSpec is the declarative scenario of the full-stack
+// experiments: nodes nodes on a 500 m grid with a 200 m radio range,
+// victim node 1, and a linkspoof attacker of the given mode ("phantom",
+// "claim" or "omit") as the last node, pinned beside the victim and
+// active from attackAt. A positive speed moves every other node on a
+// random waypoint between speed/2 and speed m/s with 5 s pauses.
+func FullStackSpec(seed int64, nodes int, speed float64, duration, attackAt time.Duration, mode string) scenario.Spec {
 	mob := scenario.MobilitySpec{}
-	if c.Speed > 0 {
+	if speed > 0 {
 		mob = scenario.MobilitySpec{
 			Model:    "waypoint",
-			MinSpeed: c.Speed / 2,
-			MaxSpeed: c.Speed,
+			MinSpeed: speed / 2,
+			MaxSpeed: speed,
 			Pause:    scenario.DurPtr(5 * time.Second),
 		}
 	}
 	return scenario.Spec{
 		Name:      "fullstack",
-		Seed:      c.Seed,
-		Nodes:     c.Nodes,
-		ArenaSide: c.ArenaSide,
-		Duration:  scenario.Dur(c.Duration),
-		Radio:     scenario.RadioSpec{Range: c.Range},
+		Seed:      seed,
+		Nodes:     nodes,
+		ArenaSide: 500,
+		Duration:  scenario.Dur(duration),
+		Radio:     scenario.RadioSpec{Range: 200},
 		Mobility:  mob,
-		DetectAll: c.DetectAll,
-		Liars:     c.Liars,
 		// Experiment runs take the binary control envelope — the hot-path
 		// codec of DESIGN.md §10. The golden presets keep JSON so every
 		// pinned digest (which counts ctrl payload bytes) stays identical.
 		BinaryCtrl: true,
 		Attacks: []scenario.AttackSpec{{
 			Kind:     "linkspoof",
-			Node:     c.Nodes,
-			Mode:     spoofModeName(c.SpoofMode),
-			At:       scenario.Dur(c.AttackAt),
+			Node:     nodes,
+			Mode:     mode,
+			At:       scenario.Dur(attackAt),
 			Pin:      true,
 			DropCtrl: true,
 		}},
 	}
 }
 
-// spoofModeName renders a SpoofMode as the scenario-spec mode string.
-func spoofModeName(m attack.SpoofMode) string {
-	switch m {
-	case attack.SpoofClaim:
-		return "claim"
-	case attack.SpoofOmit:
-		return "omit"
-	default:
-		return "phantom"
-	}
-}
-
-// RunFullStack builds the scenario, runs it, and summarizes detection
-// performance.
-func RunFullStack(cfg FullStackConfig) *FullStackResult {
-	return NewRunner(cfg.Seed, 0).FullStack(cfg)
-}
-
-// FullStack runs one packet-level scenario as one engine task, executed
-// inline. The discrete-event kernel inside is single-threaded by design
-// (see internal/sim), so a run is never subdivided; sweeps parallelize
-// across runs instead.
-func (r *Runner) FullStack(cfg FullStackConfig) *FullStackResult {
-	return runFullStack(cfg)
-}
-
-// FullStackContext is FullStack with cooperative cancellation: the
-// underlying packet run aborts at the kernel's next verdict-poll step
-// once ctx is done (scenario.RunContext).
-func (r *Runner) FullStackContext(ctx context.Context, cfg FullStackConfig) (*FullStackResult, error) {
-	cfg = cfg.withDefaults()
-	sres, err := scenario.RunContext(ctx, cfg.Spec())
-	if err != nil {
-		return nil, err
-	}
-	return reduceFullStack(cfg, sres), nil
-}
-
-func runFullStack(cfg FullStackConfig) *FullStackResult {
-	cfg = cfg.withDefaults()
-	sres, err := scenario.Run(cfg.Spec())
-	if err != nil {
-		// The conversion above always yields a valid spec; an error here
-		// is a bug in the conversion itself.
-		panic(err)
-	}
-	return reduceFullStack(cfg, sres)
-}
-
-// reduceFullStack summarizes one packet-level scenario result as the
-// full-stack detection report.
-func reduceFullStack(cfg FullStackConfig, sres *scenario.Result) *FullStackResult {
+// ReduceFullStack summarizes a run of a FullStackSpec scenario as the
+// full-stack detection report; the detection delay counts from the
+// spoofer's own attack start.
+func ReduceFullStack(sres *scenario.Result) *FullStackResult {
 	att := sres.Suspects[0]
 	res := &FullStackResult{
 		Investigations:  sres.Investigations,
@@ -177,7 +90,7 @@ func reduceFullStack(cfg FullStackConfig, sres *scenario.Result) *FullStackResul
 		res.FalsePositive = true
 	default:
 		res.Convicted = true
-		res.DetectionDelay = att.ConvictedAt - cfg.AttackAt
+		res.DetectionDelay = att.ConvictedAt - att.AttackAt
 	}
 	return res
 }
@@ -199,44 +112,23 @@ type MobilityPoint struct {
 // mobilitySweepID tags X1 task seeds in the DeriveSeed tree.
 const mobilitySweepID = "x1-mobility"
 
-// RunMobilitySweep measures detection rate, latency and false positives
-// across node speeds, one packet-level run per (speed, seed) pair. The
-// caller picks the seeds explicitly; MobilitySweep derives them from the
-// runner's root seed instead.
-func RunMobilitySweep(seeds []int64, speeds []float64) []MobilityPoint {
-	var root int64
-	if len(seeds) > 0 {
-		root = seeds[0]
-	}
-	r := NewRunner(root, 0)
-	return r.mobilitySweep(speeds, len(seeds), func(point, trial int) int64 {
-		return seeds[trial]
-	})
-}
-
-// MobilitySweep fans runs×len(speeds) packet-level simulations onto the
-// pool, deriving every trial's seed from the root seed so distinct sweep
-// points never share a random stream.
+// MobilitySweep measures detection rate, latency and false positives
+// across node speeds. It fans runs×len(speeds) packet-level simulations
+// onto the pool, deriving every trial's seed from the root seed so
+// distinct sweep points never share a random stream; the per-trial
+// results are reduced into per-speed points in index order.
 func (r *Runner) MobilitySweep(runs int, speeds []float64) []MobilityPoint {
-	return r.mobilitySweep(speeds, runs, func(point, trial int) int64 {
-		return r.TaskSeed(mobilitySweepID, point, trial)
-	})
-}
-
-// mobilitySweep is the shared fan-out: the task grid is speeds × trials,
-// flattened point-major, and the per-trial results are reduced into
-// per-speed points in index order.
-func (r *Runner) mobilitySweep(speeds []float64, runs int, seedFor func(point, trial int) int64) []MobilityPoint {
 	if runs <= 0 || len(speeds) == 0 {
 		return nil
 	}
 	results := mapTasks(r.workerCount(), len(speeds)*runs, func(task int) *FullStackResult {
 		point, trial := task/runs, task%runs
-		return runFullStack(FullStackConfig{
-			Seed:     seedFor(point, trial),
-			Speed:    speeds[point],
-			Duration: 4 * time.Minute,
-		})
+		spec := FullStackSpec(r.TaskSeed(mobilitySweepID, point, trial), 16, speeds[point], 4*time.Minute, time.Minute, "phantom")
+		sres, err := scenario.RunContext(context.TODO(), spec)
+		if err != nil {
+			panic(err) // the spec is built above; an error is a bug in FullStackSpec
+		}
+		return ReduceFullStack(sres)
 	})
 
 	out := make([]MobilityPoint, 0, len(speeds))
@@ -273,17 +165,12 @@ type OverheadPoint struct {
 	LogRecords   int
 }
 
-// RunOverheadSweep measures control-plane and routing overhead versus
-// network size.
-func RunOverheadSweep(seed int64, sizes []int) []OverheadPoint {
-	return NewRunner(seed, 0).OverheadSweep(sizes)
-}
-
 // overheadSweepID tags X2 task seeds in the DeriveSeed tree.
 const overheadSweepID = "x2-size"
 
-// OverheadSweep fans the network sizes out as independent sweep points,
-// each a full packet-level simulation with its own derived seed.
+// OverheadSweep measures control-plane and routing overhead versus
+// network size. The sizes fan out as independent sweep points, each a
+// full packet-level simulation with its own derived seed.
 func (r *Runner) OverheadSweep(sizes []int) []OverheadPoint {
 	return mapTasks(r.workerCount(), len(sizes), func(i int) OverheadPoint {
 		return overheadPoint(r.TaskSeed(overheadSweepID, i, 0), sizes[i])
@@ -315,7 +202,7 @@ func overheadSpec(seed int64, n int) scenario.Spec {
 
 // overheadPoint measures one network size for two simulated minutes.
 func overheadPoint(seed int64, n int) OverheadPoint {
-	res, err := scenario.Run(overheadSpec(seed, n))
+	res, err := scenario.RunContext(context.TODO(), overheadSpec(seed, n))
 	if err != nil {
 		panic(err)
 	}
@@ -338,24 +225,17 @@ type BaselineResult struct {
 	DropTrustDamage float64 // default trust minus final trust of the dropper
 }
 
-// RunBaselines exercises the storm, replay and black-hole attacks on a
-// small line topology and reports signature coverage.
-func RunBaselines(seed int64) *BaselineResult {
-	return NewRunner(seed, 0).Baselines()
-}
-
-// Baselines runs the X5 baseline-attack scenario as one engine task,
-// executed inline and seeded directly by the root seed (one point, one
-// trial).
-func (r *Runner) Baselines() *BaselineResult { return runBaselines(r.RootSeed) }
-
-func runBaselines(seed int64) *BaselineResult {
+// Baselines exercises the storm, replay and black-hole attacks on a
+// small line topology and reports signature coverage. It runs the X5
+// baseline-attack scenario as one engine task, executed inline and
+// seeded directly by the root seed (one point, one trial).
+func (r *Runner) Baselines() *BaselineResult {
 	spec, ok := scenario.Get("baselines-x5")
 	if !ok {
 		panic("experiment: baselines-x5 preset not registered")
 	}
-	spec.Seed = seed
-	sres, err := scenario.Run(spec)
+	spec.Seed = r.RootSeed
+	sres, err := scenario.RunContext(context.TODO(), spec)
 	if err != nil {
 		panic(err)
 	}

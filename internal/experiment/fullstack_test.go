@@ -1,18 +1,26 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"repro/internal/scenario"
 	"repro/internal/trust"
 )
 
+// runFullStack runs one full-stack spec and reduces it.
+func runFullStack(t *testing.T, spec scenario.Spec) *FullStackResult {
+	t.Helper()
+	res, err := scenario.RunContext(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ReduceFullStack(res)
+}
+
 func TestRunFullStackStaticDetects(t *testing.T) {
-	r := RunFullStack(FullStackConfig{
-		Seed:     1,
-		Duration: 3 * time.Minute,
-		AttackAt: 45 * time.Second,
-	})
+	r := runFullStack(t, FullStackSpec(1, 16, 0, 3*time.Minute, 45*time.Second, "phantom"))
 	if !r.Convicted {
 		t.Fatalf("static full-stack run did not convict: %s", r)
 	}
@@ -31,19 +39,16 @@ func TestRunFullStackStaticDetects(t *testing.T) {
 }
 
 func TestRunFullStackWithLiars(t *testing.T) {
-	r := RunFullStack(FullStackConfig{
-		Seed:     3,
-		Duration: 4 * time.Minute,
-		AttackAt: 45 * time.Second,
-		Liars:    3,
-	})
+	spec := FullStackSpec(3, 16, 0, 4*time.Minute, 45*time.Second, "phantom")
+	spec.Liars = 3
+	r := runFullStack(t, spec)
 	if !r.Convicted {
 		t.Fatalf("liar run did not convict: %s", r)
 	}
 }
 
 func TestRunOverheadSweepGrows(t *testing.T) {
-	pts := RunOverheadSweep(1, []int{8, 16})
+	pts := NewRunner(1, 0).OverheadSweep([]int{8, 16})
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -60,7 +65,7 @@ func TestRunOverheadSweepGrows(t *testing.T) {
 }
 
 func TestRunBaselines(t *testing.T) {
-	r := RunBaselines(1)
+	r := NewRunner(1, 0).Baselines()
 	if !r.StormFlagged {
 		t.Error("broadcast storm not flagged")
 	}
@@ -73,7 +78,7 @@ func TestRunBaselines(t *testing.T) {
 }
 
 func TestRunCISweep(t *testing.T) {
-	pts := RunCISweep(1, []float64{0.90, 0.99}, []int{5, 15, 45}, 0.25)
+	pts := NewRunner(1, 0).CISweep([]float64{0.90, 0.99}, []int{5, 15, 45}, 0.25)
 	if len(pts) != 6 {
 		t.Fatalf("points = %d, want 6", len(pts))
 	}
@@ -101,7 +106,7 @@ func TestRunCISweep(t *testing.T) {
 func TestRunAblation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Liars = 4
-	res := RunAblation(cfg)
+	res := NewRunner(cfg.Seed, 0).Ablation(cfg)
 	// The trust-weighted system must converge much deeper than uniform
 	// weighting, which stays pinned at the raw majority ratio.
 	if res.FinalWeighted >= res.FinalUniform {
@@ -119,7 +124,7 @@ func TestMobilitySweepSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mobility sweep is slow")
 	}
-	pts := RunMobilitySweep([]int64{1}, []float64{0})
+	pts := NewRunner(1, 0).MobilitySweep(1, []float64{0})
 	if len(pts) != 1 || pts[0].Runs != 1 {
 		t.Fatalf("points = %+v", pts)
 	}

@@ -26,6 +26,7 @@ package experiment
 // without it, framing and shielding scale with k unchecked.
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -97,9 +98,9 @@ type recommenderTrial struct {
 
 // runRecommenderTrial executes one (family, arm) run and reduces it.
 func runRecommenderTrial(seed int64, k int, family string, filter bool) recommenderTrial {
-	res, err := scenario.Run(recommenderSpec(seed, k, family, filter))
+	res, err := scenario.RunContext(context.TODO(), recommenderSpec(seed, k, family, filter))
 	if err != nil {
-		// Specs are built above and validated in Run; an error here is a
+		// Specs are built above and validated by the run; an error here is a
 		// programming bug, and the zero trial keeps the grid shape.
 		return recommenderTrial{}
 	}
@@ -192,9 +193,4 @@ func (r *Runner) RecommenderSweep(trials int, counts []int) []RecommenderPoint {
 		out = append(out, p)
 	}
 	return out
-}
-
-// RunRecommenderSweep is the single-shot convenience wrapper.
-func RunRecommenderSweep(seed int64, trials int, counts []int) []RecommenderPoint {
-	return NewRunner(seed, 0).RecommenderSweep(trials, counts)
 }

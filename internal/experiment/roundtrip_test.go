@@ -9,10 +9,10 @@ import (
 	"repro/internal/trust"
 )
 
-// TestConfigSpecRoundTrip pins the inverse pair the facade's Figure
-// wrappers depend on: ConfigFromSpec(SpecFromConfig(cfg)) == cfg, so a
-// Config-typed call routed through the spec-typed Run surface executes
-// the exact configuration it was given.
+// TestConfigSpecRoundTrip pins the inverse pair a Config-typed figure
+// request depends on: ConfigFromSpec(SpecFromConfig(cfg)) == cfg, so a
+// Config routed through the spec-typed Run surface executes the exact
+// configuration it was given.
 func TestConfigSpecRoundTrip(t *testing.T) {
 	lossless := DefaultConfig()
 	lossless.NonAnswerProb = 0 // must survive via the explicit -1 convention
@@ -61,52 +61,40 @@ func TestTrialSeedContract(t *testing.T) {
 	}
 }
 
-// TestContextVariantsMatchLegacy checks every new ctx-taking entrypoint
-// produces the result its legacy signature always did, and honors a
-// canceled context.
-func TestContextVariantsMatchLegacy(t *testing.T) {
+// TestFanHonorsCancellation checks the two ctx-taking fans — the
+// Figures 1–3 regeneration and the scenario fan — complete under a live
+// context and unwind under a canceled one.
+func TestFanHonorsCancellation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes, cfg.Liars, cfg.Rounds = 8, 2, 6
 	eng := NewRunner(cfg.Seed, 2)
 	ctx := context.Background()
 
-	f1, err := eng.Fig1Context(ctx, cfg)
-	if err != nil || f1.LiarFinalMax != eng.Fig1(cfg).LiarFinalMax {
-		t.Errorf("Fig1Context diverges (err %v)", err)
-	}
-	f3, err := eng.Fig3Context(ctx, cfg, []int{1, 2})
-	if err != nil || len(f3.Final) != len(eng.Fig3(cfg, []int{1, 2}).Final) {
-		t.Errorf("Fig3Context diverges (err %v)", err)
-	}
-	all, err := eng.FiguresContext(ctx, cfg, []int{1, 2})
+	all, err := eng.Figures(ctx, cfg, []int{1, 2})
 	if err != nil || all.Fig1 == nil || all.Fig2 == nil || all.Fig3 == nil {
-		t.Errorf("FiguresContext incomplete (err %v)", err)
+		t.Errorf("Figures incomplete (err %v)", err)
 	}
-
 	spec := scenario.Spec{Name: "tiny", Seed: 3, Nodes: 4, Duration: scenario.Dur(5 * time.Second)}
-	direct, err := eng.ScenarioTrials(spec, 3)
+	trials := TrialSpecs(spec, 3)
+	res, err := eng.Scenarios(ctx, trials, nil)
 	if err != nil {
-		t.Fatalf("ScenarioTrials: %v", err)
+		t.Fatalf("Scenarios: %v", err)
 	}
-	viaCtx, err := eng.ScenarioTrialsContext(ctx, spec, 3)
-	if err != nil {
-		t.Fatalf("ScenarioTrialsContext: %v", err)
-	}
-	for i := range direct {
-		if direct[i].Digest() != viaCtx[i].Digest() {
-			t.Errorf("trial %d digest diverges between legacy and ctx paths", i)
+	for i, r := range res {
+		if r.Seed != trials[i].Seed {
+			t.Errorf("trial %d ran seed %d, want %d", i, r.Seed, trials[i].Seed)
 		}
 	}
 
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := eng.ScenarioTrialsContext(canceled, spec, 3); err == nil {
-		t.Error("ScenarioTrialsContext ignored a canceled context")
+	if _, err := eng.Scenarios(canceled, trials, nil); err == nil {
+		t.Error("Scenarios ignored a canceled context")
 	}
-	if _, err := eng.FiguresContext(canceled, cfg, []int{1}); err == nil {
-		t.Error("FiguresContext ignored a canceled context")
+	if _, err := eng.Figures(canceled, cfg, []int{1}); err == nil {
+		t.Error("Figures ignored a canceled context")
 	}
-	if _, err := eng.FullStackContext(canceled, FullStackConfig{}); err == nil {
-		t.Error("FullStackContext ignored a canceled context")
+	if _, err := eng.Scenarios(canceled, []scenario.Spec{FullStackSpec(1, 16, 0, time.Minute, 30*time.Second, "phantom")}, nil); err == nil {
+		t.Error("a full-stack run ignored a canceled context")
 	}
 }

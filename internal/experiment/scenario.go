@@ -20,62 +20,29 @@ import (
 // scenarioTrialID tags per-trial scenario seeds in the DeriveSeed tree.
 const scenarioTrialID = "scenario-trial"
 
-// Scenario runs one packet-level scenario spec inline.
-func (r *Runner) Scenario(spec scenario.Spec) (*scenario.Result, error) {
-	return scenario.Run(spec)
-}
-
 // TrialSeed maps a campaign trial index to its run seed: trial 0 keeps
 // the spec's own seed verbatim — a 1-trial campaign is reproducible as
 // the first trial of a larger one — and trial i > 0 runs with
-// DeriveSeed(spec.Seed, "scenario-trial", 0, i). Every campaign surface
-// (ScenarioTrials here, the campaign service's run expansion) derives
-// trial seeds through this one function, which is what makes a campaign
-// submitted over HTTP byte-identical to a direct engine run.
+// scenario.DeriveSeed(spec.Seed, "scenario-trial", 0, i). Every campaign
+// surface (TrialSpecs here, the campaign service's run expansion)
+// derives trial seeds through this one function, which is what makes a
+// campaign submitted over HTTP byte-identical to a direct engine run.
 func TrialSeed(specSeed int64, trial int) int64 {
 	if trial <= 0 {
 		return specSeed
 	}
-	return DeriveSeed(specSeed, scenarioTrialID, 0, trial)
+	return scenario.DeriveSeed(specSeed, scenarioTrialID, 0, trial)
 }
 
-// ScenarioTrials fans trials independent runs of the spec onto the pool,
-// with per-trial seeds from TrialSeed.
-func (r *Runner) ScenarioTrials(spec scenario.Spec, trials int) ([]*scenario.Result, error) {
-	return r.ScenarioTrialsContext(context.Background(), spec, trials)
-}
-
-// ScenarioTrialsContext is ScenarioTrials with cooperative cancellation:
-// undispatched trials are abandoned once ctx is done, and running trials
-// abort at the kernel's next verdict-poll step (scenario.RunContext).
-func (r *Runner) ScenarioTrialsContext(ctx context.Context, spec scenario.Spec, trials int) ([]*scenario.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
+// TrialSpecs expands spec into a trial fan: trials copies (at least
+// one), copy i seeded with TrialSeed(spec.Seed, i).
+func TrialSpecs(spec scenario.Spec, trials int) []scenario.Spec {
+	specs := make([]scenario.Spec, max(trials, 1))
+	for i := range specs {
+		specs[i] = spec
+		specs[i].Seed = TrialSeed(spec.Seed, i)
 	}
-	if trials <= 0 {
-		trials = 1
-	}
-	type outcome struct {
-		res *scenario.Result
-		err error
-	}
-	results, err := mapTasksCtx(ctx, r.workerCount(), trials, func(i int) outcome {
-		s := spec
-		s.Seed = TrialSeed(spec.Seed, i)
-		res, err := scenario.RunContext(ctx, s)
-		return outcome{res, err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*scenario.Result, trials)
-	for i, o := range results {
-		if o.err != nil {
-			return nil, fmt.Errorf("trial %d: %w", i, o.err)
-		}
-		out[i] = o.res
-	}
-	return out, nil
+	return specs
 }
 
 // TraceFileName names trial i's NDJSON trace within a campaign's trace
@@ -83,93 +50,66 @@ func (r *Runner) ScenarioTrialsContext(ctx context.Context, spec scenario.Spec, 
 // (reprotrace walkthroughs, CI smoke) agree on the layout.
 func TraceFileName(trial int) string { return fmt.Sprintf("trial-%03d.ndjson", trial) }
 
-// ScenarioTrialsTracedContext is ScenarioTrialsContext with the
-// run-trace plane on: each trial streams its events to
-// dir/TraceFileName(i). Trials still fan across the pool — traces are
-// per-trial files, so parallelism cannot interleave them, and each file
-// is byte-identical at any worker count (the per-run tracer ordinal is a
-// total order over that run alone). The directory is created if needed.
-func (r *Runner) ScenarioTrialsTracedContext(ctx context.Context, spec scenario.Spec, trials int, dir string) ([]*scenario.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if trials <= 0 {
-		trials = 1
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("experiment: trace dir: %w", err)
-	}
-	type outcome struct {
-		res *scenario.Result
-		err error
-	}
-	results, err := mapTasksCtx(ctx, r.workerCount(), trials, func(i int) outcome {
-		s := spec
-		s.Seed = TrialSeed(spec.Seed, i)
-		path := filepath.Join(dir, TraceFileName(i))
-		f, err := os.Create(path) //nolint:gosec // operator-supplied directory
-		if err != nil {
-			return outcome{err: err}
-		}
-		sink := trace.NewWriter(f)
-		res, err := scenario.RunContextTraced(ctx, s, sink)
-		if err == nil {
-			err = sink.Err()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		return outcome{res, err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*scenario.Result, trials)
-	for i, o := range results {
-		if o.err != nil {
-			return nil, fmt.Errorf("trial %d: %w", i, o.err)
-		}
-		out[i] = o.res
-	}
-	return out, nil
-}
-
-// ScenarioMatrix runs every spec once on the pool and returns the
-// digests in spec order — the golden-corpus regeneration primitive.
-func (r *Runner) ScenarioMatrix(specs []scenario.Spec) ([]scenario.Digest, error) {
-	return r.ScenarioMatrixContext(context.Background(), specs)
-}
-
-// ScenarioMatrixContext is ScenarioMatrix with cooperative cancellation
-// (the semantics of ScenarioTrialsContext).
-func (r *Runner) ScenarioMatrixContext(ctx context.Context, specs []scenario.Spec) ([]scenario.Digest, error) {
+// Scenarios runs every spec once on the pool and returns the results in
+// spec order. Every spec is validated before any runs. Undispatched
+// runs are abandoned once ctx is done, and running ones abort at the
+// kernel's next verdict-poll step (scenario.RunContextTraced).
+//
+// A non-nil tracePath turns the run-trace plane on: run i streams its
+// events to the NDJSON file tracePath(i), whose directory is created if
+// needed. Runs still fan across the pool — each trace is its own file,
+// so parallelism cannot interleave them, and each file is byte-identical
+// at any worker count (the per-run tracer ordinal is a total order over
+// that run alone).
+func (r *Runner) Scenarios(ctx context.Context, specs []scenario.Spec, tracePath func(i int) string) ([]*scenario.Result, error) {
 	for _, s := range specs {
 		if err := s.Validate(); err != nil {
 			return nil, err
 		}
 	}
 	type outcome struct {
-		d   scenario.Digest
+		res *scenario.Result
 		err error
 	}
 	results, err := mapTasksCtx(ctx, r.workerCount(), len(specs), func(i int) outcome {
-		res, err := scenario.RunContext(ctx, specs[i])
-		if err != nil {
-			return outcome{err: err}
+		if tracePath == nil {
+			res, err := scenario.RunContext(ctx, specs[i])
+			return outcome{res, err}
 		}
-		return outcome{d: res.Digest()}
+		res, err := runTraced(ctx, specs[i], tracePath(i))
+		return outcome{res, err}
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]scenario.Digest, len(specs))
+	out := make([]*scenario.Result, len(specs))
 	for i, o := range results {
 		if o.err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", specs[i].Name, o.err)
+			return nil, fmt.Errorf("run %d (%s): %w", i, specs[i].Name, o.err)
 		}
-		out[i] = o.d
+		out[i] = o.res
 	}
 	return out, nil
+}
+
+// runTraced runs one spec with its trace written to the file at path.
+func runTraced(ctx context.Context, spec scenario.Spec, path string) (*scenario.Result, error) {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, fmt.Errorf("experiment: trace dir: %w", err)
+	}
+	f, err := os.Create(path) //nolint:gosec // operator-supplied directory
+	if err != nil {
+		return nil, err
+	}
+	sink := trace.NewWriter(f)
+	res, err := scenario.RunContextTraced(ctx, spec, sink)
+	if err == nil {
+		err = sink.Err()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return res, err
 }
 
 // ErrNotRounds rejects a packet spec where a rounds one is needed.
@@ -210,8 +150,8 @@ func ConfigFromSpec(s scenario.Spec) (Config, error) {
 
 // SpecFromConfig is the inverse of ConfigFromSpec: it renders a §V
 // round-based configuration as the equivalent rounds-kind scenario spec,
-// so the Config-typed legacy entrypoints (Figure1..3) can delegate to
-// the spec-typed campaign surface. The conversion is exact for every
+// so a Config-typed figure request can run through the spec-typed
+// campaign surface (repro.Run). The conversion is exact for every
 // configuration ConfigFromSpec can produce — the round trip
 // ConfigFromSpec(SpecFromConfig(cfg)) == cfg is pinned by test — with
 // one degenerate exception: an all-zero initial-trust range decays to

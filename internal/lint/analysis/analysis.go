@@ -3,13 +3,12 @@
 // needs: an Analyzer is a named check, a Pass hands it one type-checked
 // package, and diagnostics are collected positionally.
 //
-// The container this repository builds in has no module proxy access,
-// so the real x/tools framework cannot land as a dependency yet. The
-// types here keep the same field names and call shapes (Analyzer.Run,
-// Pass.Reportf) so that migrating the four analyzers onto the real
-// framework — and picking up its stock extras (nilness, shadow,
-// unusedwrite, see internal/lint/extras) — is a mechanical import swap,
-// not a rewrite.
+// The module takes no third-party dependencies, so the real x/tools
+// framework is not imported. The types here keep the same field names
+// and call shapes (Analyzer.Run, Pass.Reportf) so that migrating the
+// four analyzers onto the real framework — and picking up its stock
+// analyzers such as nilness, shadow and unusedwrite — is a mechanical
+// import swap, not a rewrite.
 package analysis
 
 import (

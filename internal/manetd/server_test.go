@@ -186,7 +186,7 @@ func TestServiceDigestsMatchEngine(t *testing.T) {
 
 	const seed, trials = 1234, 3
 	spec := scenario.Spec{Name: "tiny", Seed: seed, Nodes: 4, Duration: scenario.Dur(5 * time.Second)}
-	direct, err := experiment.NewRunner(seed, 8).ScenarioTrials(spec, trials)
+	direct, err := experiment.NewRunner(seed, 8).Scenarios(context.Background(), experiment.TrialSpecs(spec, trials), nil)
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -325,7 +325,7 @@ func TestPresetSubmission(t *testing.T) {
 	}
 
 	spec, _ := scenario.Get("baseline")
-	direct, err := scenario.Run(spec)
+	direct, err := scenario.RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -214,7 +215,7 @@ func TestAttackVariantCoverage(t *testing.T) {
 			if !ok {
 				t.Fatalf("preset %q missing", c.preset)
 			}
-			r, err := Run(spec)
+			r, err := RunContext(context.Background(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}

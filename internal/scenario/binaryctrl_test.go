@@ -1,6 +1,9 @@
 package scenario
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestBinaryCtrlDetects reruns the logforger preset — the scenario that
 // exercises every control-plane payload: routed verification requests
@@ -16,7 +19,7 @@ func TestBinaryCtrlDetects(t *testing.T) {
 		t.Fatal("logforger preset missing")
 	}
 	spec.BinaryCtrl = true
-	r, err := Run(spec)
+	r, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

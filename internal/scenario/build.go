@@ -20,9 +20,9 @@ import (
 )
 
 // Seed-derivation labels. waypointSeedLabel predates this package (the
-// PR-1 full-stack runner used it for per-node waypoint streams) and is
-// kept verbatim so specs converted from the old FullStackConfig replay
-// the exact same trajectories.
+// first full-stack runner used it for per-node waypoint streams) and is
+// kept verbatim so experiment.FullStackSpec runs replay the exact same
+// trajectories.
 const (
 	waypointSeedLabel = "fullstack-waypoint"
 	walkSeedLabel     = "scenario-walk"
@@ -70,18 +70,18 @@ type Built struct {
 // order is part of the determinism contract: nodes are added in index
 // order, then attack infrastructure (wormhole mouths, storm schedules) in
 // attack-mix order, then the Custom hook runs; Start is left to the
-// caller (Run).
+// caller (RunContextTraced).
 func Build(spec Spec) (*Built, error) {
-	return BuildTraced(spec, nil)
+	return buildTraced(spec, nil)
 }
 
-// BuildTraced is Build with a run-trace sink (DESIGN.md §13) attached to
+// buildTraced is Build with a run-trace sink (DESIGN.md §13) attached to
 // the network before any node exists, so the trace covers the whole run
 // from the first scheduler dispatch. A nil sink is exactly Build: the
 // network's tracer stays nil and every emission site reduces to one
 // predicted branch. Spec.Trace only *requests* tracing — this parameter
 // is where a runner supplies the destination.
-func BuildTraced(spec Spec, sink trace.Sink) (*Built, error) {
+func buildTraced(spec Spec, sink trace.Sink) (*Built, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -636,36 +636,27 @@ type Result struct {
 	Reputation *RepStats
 }
 
-// verdictPollStep is how often Run samples the victim's verdicts. It
+// verdictPollStep is how often a run samples the victim's verdicts. It
 // only reads detector state — polling granularity cannot perturb the
 // simulation, just the resolution of ConvictedAt.
 const verdictPollStep = 500 * time.Millisecond
 
-// Run builds, starts and executes a packet scenario and reduces it to a
-// Result.
-func Run(spec Spec) (*Result, error) {
-	return RunContext(context.Background(), spec)
-}
-
-// RunTraced is Run with a run-trace sink. The Result is byte-identical
-// to an untraced run of the same spec — tracing is pure observation.
-func RunTraced(spec Spec, sink trace.Sink) (*Result, error) {
-	return RunContextTraced(context.Background(), spec, sink)
-}
-
-// RunContext is Run with cancellation: the event loop checks ctx at
-// every verdict-poll step (500ms of simulated time), so a campaign
-// service can abandon a long run without waiting for it to finish. A
-// canceled run returns ctx's error and no Result; cancellation cannot
-// perturb a run that completes, because the check only ever aborts —
-// it never reorders or drops events.
+// RunContext is RunContextTraced without a trace sink.
 func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 	return RunContextTraced(ctx, spec, nil)
 }
 
-// RunContextTraced is RunContext with a run-trace sink (nil = untraced).
+// RunContextTraced builds, starts and executes a packet scenario and
+// reduces it to a Result. The event loop checks ctx at every
+// verdict-poll step (500ms of simulated time), so a campaign service
+// can abandon a long run without waiting for it to finish. A canceled
+// run returns ctx's error and no Result; cancellation cannot perturb a
+// run that completes, because the check only ever aborts — it never
+// reorders or drops events. A non-nil sink receives the run trace; the
+// Result is byte-identical to an untraced run of the same spec, because
+// tracing is pure observation.
 func RunContextTraced(ctx context.Context, spec Spec, sink trace.Sink) (*Result, error) {
-	b, err := BuildTraced(spec, sink)
+	b, err := buildTraced(spec, sink)
 	if err != nil {
 		return nil, err
 	}

@@ -352,7 +352,10 @@ func (s Spec) WithDefaults() Spec {
 }
 
 // Validate reports the first problem with the spec, after defaulting.
+// Zero means "default" for the packet sizes and times; a negative one is
+// rejected here, because WithDefaults would otherwise swallow it.
 func (s Spec) Validate() error {
+	raw := s
 	s = s.WithDefaults()
 	if s.Version != 0 && s.Version != SpecVersion {
 		return fmt.Errorf("scenario %q: unsupported spec version %d (this build speaks version %d)",
@@ -368,6 +371,22 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario %q: rounds scenarios take no attack mix", s.Name)
 		}
 		return nil
+	}
+	for _, f := range []struct {
+		name string
+		neg  bool
+		val  any
+	}{
+		{"nodes", raw.Nodes < 0, raw.Nodes},
+		{"duration", raw.Duration < 0, raw.Duration},
+		{"victim", raw.Victim < 0, raw.Victim},
+		{"arenaSide", raw.ArenaSide < 0, raw.ArenaSide},
+		{"radio.range", raw.Radio.Range < 0, raw.Radio.Range},
+		{"radio.propDelay", raw.Radio.PropDelay < 0, raw.Radio.PropDelay},
+	} {
+		if f.neg {
+			return fmt.Errorf("scenario %q: negative %s %v", s.Name, f.name, f.val)
+		}
 	}
 	switch s.Placement {
 	case "grid", "line", "ring", "uniform":
@@ -531,8 +550,7 @@ func (s Spec) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
 // same seed on every platform and in every process, which is what makes
 // parallel runs bit-identical to serial ones. It lives here so both the
 // scenario builder (per-node mobility seeds, attack RNGs) and the
-// experiment engine derive from the same tree; experiment.DeriveSeed is
-// an alias.
+// experiment engine derive from the same tree.
 func DeriveSeed(root int64, label string, point, trial int) int64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -54,11 +55,11 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("round trip: %v\n%s", err, data)
 	}
-	r1, err := Run(spec)
+	r1, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(back)
+	r2, err := RunContext(context.Background(), back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +113,13 @@ func TestValidate(t *testing.T) {
 		{Name: "a-self", Attacks: []AttackSpec{{Kind: "colluding", Node: 2, Peer: 2}}},
 		{Name: "a-storm", Attacks: []AttackSpec{{Kind: "storm", Node: 1}}},
 		{Name: "rounds-att", Kind: KindRounds, Attacks: []AttackSpec{{Kind: "blackhole", Node: 1}}},
+		// Negative sizes and times are rejected, not defaulted.
+		{Name: "neg-nodes", Nodes: -1},
+		{Name: "neg-duration", Duration: Dur(-5 * time.Second)},
+		{Name: "neg-victim", Victim: -1},
+		{Name: "neg-arena", ArenaSide: -1},
+		{Name: "neg-range", Radio: RadioSpec{Range: -1}},
+		{Name: "neg-propdelay", Radio: RadioSpec{PropDelay: Dur(-time.Millisecond)}},
 		// One role-bearing attack per node: a spoofer and a drop hook on
 		// the same router cannot coexist (NodeSpec installs one of them).
 		{Name: "dup-role", Attacks: []AttackSpec{
@@ -183,11 +191,11 @@ func TestPresetsAllValidAndNamed(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	spec, _ := Get("grayhole")
-	r1, err := Run(spec)
+	r1, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(spec)
+	r2, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +204,7 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	other := spec
 	other.Seed = 2
-	r3, err := Run(other)
+	r3, err := RunContext(context.Background(), other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +230,7 @@ func TestBuildRejectsRounds(t *testing.T) {
 	if _, err := Build(spec); err == nil {
 		t.Error("Build accepted a rounds spec")
 	}
-	if _, err := Run(spec); err == nil {
+	if _, err := RunContext(context.Background(), spec); err == nil {
 		t.Error("Run accepted a rounds spec")
 	}
 }

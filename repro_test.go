@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -11,17 +12,18 @@ func TestFacadeFigures(t *testing.T) {
 	cfg := DefaultScenario()
 	cfg.Rounds = 10
 
-	f1 := Figure1(cfg)
-	if f1.Table.Rows() != 11 {
-		t.Errorf("Figure1 rows = %d", f1.Table.Rows())
+	res, err := Run(context.Background(), experiment.SpecFromConfig(cfg), RunOpts{LiarCounts: []int{2}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	f2 := Figure2(cfg)
-	if f2.Table.Rows() != 11 {
-		t.Errorf("Figure2 rows = %d", f2.Table.Rows())
+	if rows := res.Figures.Fig1.Table.Rows(); rows != 11 {
+		t.Errorf("Figure1 rows = %d", rows)
 	}
-	f3 := Figure3(cfg, []int{2})
-	if len(f3.Final) != 1 {
-		t.Errorf("Figure3 series = %d", len(f3.Final))
+	if rows := res.Figures.Fig2.Table.Rows(); rows != 11 {
+		t.Errorf("Figure2 rows = %d", rows)
+	}
+	if n := len(res.Figures.Fig3.Final); n != 1 {
+		t.Errorf("Figure3 series = %d", n)
 	}
 }
 
@@ -36,12 +38,12 @@ func TestFacadeFullStack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full stack run")
 	}
-	r := FullStack(experiment.FullStackConfig{
-		Seed:     1,
-		Duration: 4 * time.Minute,
-		AttackAt: 45 * time.Second,
-	})
-	if !r.Convicted {
+	spec := experiment.FullStackSpec(1, 16, 0, 4*time.Minute, 45*time.Second, "phantom")
+	res, err := Run(context.Background(), spec, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := experiment.ReduceFullStack(res.Trials[0]); !r.Convicted {
 		t.Errorf("facade full stack did not convict: %s", r)
 	}
 }

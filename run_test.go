@@ -20,7 +20,7 @@ func TestRunPacketSpec(t *testing.T) {
 	if len(res.Trials) != 3 || res.Figures != nil {
 		t.Fatalf("packet Run: %d trials, figures %v", len(res.Trials), res.Figures)
 	}
-	direct, err := experiment.NewRunner(spec.Seed, 2).ScenarioTrials(spec, 3)
+	direct, err := experiment.NewRunner(spec.Seed, 2).Scenarios(context.Background(), experiment.TrialSpecs(spec, 3), nil)
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -65,15 +65,13 @@ func TestRunRoundsSpec(t *testing.T) {
 		t.Errorf("Fig3 series = %d, want the 2 requested liar counts", got)
 	}
 
-	// The legacy per-figure wrappers ride the same path and agree with
-	// the experiment package's direct runners.
-	f1 := Figure1(cfg)
-	if want := experiment.RunFig1(cfg); f1.LiarFinalMax != want.LiarFinalMax {
-		t.Errorf("Figure1 through Run: LiarFinalMax %v, direct %v", f1.LiarFinalMax, want.LiarFinalMax)
+	// The figures through Run agree with the experiment package's
+	// direct runners.
+	if want := experiment.Fig1(cfg); res.Figures.Fig1.LiarFinalMax != want.LiarFinalMax {
+		t.Errorf("Fig1 through Run: LiarFinalMax %v, direct %v", res.Figures.Fig1.LiarFinalMax, want.LiarFinalMax)
 	}
-	f3 := Figure3(cfg, []int{2})
-	if want := experiment.RunFig3(cfg, []int{2}); len(f3.Final) != len(want.Final) {
-		t.Errorf("Figure3 through Run: %d series, direct %d", len(f3.Final), len(want.Final))
+	if want := experiment.NewRunner(0, 1).Fig3(cfg, []int{1, 2}); len(res.Figures.Fig3.Final) != len(want.Final) {
+		t.Errorf("Fig3 through Run: %d series, direct %d", len(res.Figures.Fig3.Final), len(want.Final))
 	}
 }
 

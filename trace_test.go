@@ -32,12 +32,12 @@ func TestTraceOffIsInert(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			plain, err := scenario.Run(spec)
+			plain, err := scenario.RunContext(context.Background(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rec := &trace.Recorder{}
-			traced, err := scenario.RunTraced(spec, rec)
+			traced, err := scenario.RunContextTraced(context.Background(), spec, rec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func TestTraceDiff(t *testing.T) {
 	}
 	runTrace := func(s scenario.Spec) []byte {
 		rec := &trace.Recorder{}
-		if _, err := scenario.RunTraced(s, rec); err != nil {
+		if _, err := scenario.RunContextTraced(context.Background(), s, rec); err != nil {
 			t.Fatal(err)
 		}
 		return rec.NDJSON()
@@ -100,44 +100,58 @@ func TestTraceDiff(t *testing.T) {
 	}
 }
 
-// TestTraceTrialsWorkerInvariant runs a traced trial fan at 1 worker
-// and at 8 and requires the per-trial NDJSON files to match
-// byte-for-byte: per-run sinks make worker scheduling invisible, the
-// same invariant the golden corpus pins for digests.
+// TestTraceTrialsWorkerInvariant runs traced fans at 1 worker and at 8
+// and requires every NDJSON file to match byte-for-byte: per-run sinks
+// make worker scheduling invisible, the same invariant the golden corpus
+// pins for digests. The inputs are a seeded trial fan (manetsim -trials
+// -trace) and a two-preset matrix (idsbench -sweep scenarios -trace).
 func TestTraceTrialsWorkerInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-trial fan; skipped with -short")
 	}
-	spec, err := scenario.Resolve("linkspoof")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const trials = 4
-	run := func(workers int) string {
-		dir := filepath.Join(t.TempDir(), "traces")
-		eng := experiment.NewRunner(spec.WithDefaults().Seed, workers)
-		if _, err := eng.ScenarioTrialsTracedContext(context.Background(), spec, trials, dir); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-	serial, parallel := run(1), run(8)
-	for i := 0; i < trials; i++ {
-		name := experiment.TraceFileName(i)
-		a, err := os.ReadFile(filepath.Join(serial, name))
+	resolve := func(name string) scenario.Spec {
+		spec, err := scenario.Resolve(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(filepath.Join(parallel, name))
-		if err != nil {
-			t.Fatal(err)
+		return spec
+	}
+	matrix := []scenario.Spec{resolve("baseline"), resolve("blackhole")}
+	cases := []struct {
+		name  string
+		specs []scenario.Spec
+		file  func(i int) string
+	}{
+		{"trials", experiment.TrialSpecs(resolve("linkspoof"), 4), experiment.TraceFileName},
+		{"matrix", matrix, func(i int) string { return matrix[i].Name + ".ndjson" }},
+	}
+	for _, c := range cases {
+		run := func(workers int) string {
+			dir := filepath.Join(t.TempDir(), "traces")
+			path := func(i int) string { return filepath.Join(dir, c.file(i)) }
+			if _, err := experiment.NewRunner(0, workers).Scenarios(context.Background(), c.specs, path); err != nil {
+				t.Fatal(err)
+			}
+			return dir
 		}
-		if len(a) == 0 {
-			t.Fatalf("%s: empty trace", name)
-		}
-		if !bytes.Equal(a, b) {
-			div, _ := trace.Diff(bytes.NewReader(a), bytes.NewReader(b))
-			t.Errorf("%s differs between 1 and 8 workers: %s", name, div)
+		serial, parallel := run(1), run(8)
+		for i := range c.specs {
+			name := c.file(i)
+			a, err := os.ReadFile(filepath.Join(serial, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(filepath.Join(parallel, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a) == 0 {
+				t.Fatalf("%s/%s: empty trace", c.name, name)
+			}
+			if !bytes.Equal(a, b) {
+				div, _ := trace.Diff(bytes.NewReader(a), bytes.NewReader(b))
+				t.Errorf("%s/%s differs between 1 and 8 workers: %s", c.name, name, div)
+			}
 		}
 	}
 }
