@@ -52,16 +52,18 @@ perf-check:
 golden:
 	$(GO) test -run TestGoldenCorpus -count=1 .
 
+# Re-recorded digests are grid-only: after an update, grid ≡ scan is
+# checked only by the internal/radio equivalence harness.
 golden-update:
 	$(GO) test -run TestGoldenCorpus -update-golden -count=1 .
 
-# Large-N golden matrix: the scale presets (200/500 nodes) under both
-# medium implementations at workers 1 and 8 (see golden_scale_test.go).
-# Minutes of simulation — CI runs it in the separate `scale` job, never
-# in the main test job.
+# Large-N golden matrix: the scale presets (200/500 nodes) at workers 1
+# and 8 (see golden_scale_test.go). Minutes of simulation — CI runs it
+# in the separate `scale` job, never in the main test job.
 scale:
 	REPRO_SCALE=1 $(GO) test -run TestGoldenScale -count=1 -timeout 40m .
 
+# Re-recorded like golden-update: grid-only digests.
 scale-update:
 	REPRO_SCALE=1 $(GO) test -run TestGoldenScale -update-golden -count=1 -timeout 40m .
 
@@ -96,8 +98,8 @@ serve-load:
 trace-smoke:
 	./scripts/trace_smoke.sh
 
-# Short local fuzz pass over the codecs and the proof verifier (CI runs
-# the same budget per target).
+# Short local fuzz pass over the codecs, the proof verifier and the
+# scenario spec front door (CI runs the same budget per target).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodePacket$$' -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz='^FuzzParseLine$$' -fuzztime=30s ./internal/auditlog
@@ -105,6 +107,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzVerifyInclusion$$' -fuzztime=30s ./internal/auditlog
 	$(GO) test -fuzz='^FuzzBinaryRoundTrip$$' -fuzztime=30s ./internal/core
 	$(GO) test -fuzz='^FuzzEventRoundTrip$$' -fuzztime=30s ./internal/trace
+	$(GO) test -fuzz='^FuzzSpec$$' -fuzztime=30s ./internal/scenario
 
 # reprolint: the in-repo determinism & hot-path analyzer suite
 # (DESIGN.md §12) — detwalltime, detmapiter, detseed, allocann. Builds

@@ -194,19 +194,15 @@ func BenchmarkEngineOverheadSweep(b *testing.B) {
 	}
 }
 
-// --- radio medium: spatial grid vs reference scan (DESIGN.md §2.4) ---
+// --- radio medium: the spatial grid (DESIGN.md §2.4) ---
 
 // benchMedium builds a medium with n static stations at constant density
 // (the scale-preset density: 200 nodes per 2000 m² arena at 200 m range)
-// so the mean degree stays put while the population grows — exactly the
-// regime where the scan's O(n) per broadcast should hurt and the grid's
-// O(degree) should not.
-func benchMedium(n int, grid bool) (*sim.Scheduler, *radio.Medium) {
+// so the mean degree stays put while the population grows — the grid's
+// O(degree) broadcast should not grow with n.
+func benchMedium(n int) (*sim.Scheduler, *radio.Medium) {
 	sched := sim.New(1)
-	m := radio.NewMedium(sched, radio.Config{
-		Prop: radio.UnitDisk{Range: 200},
-		Grid: grid,
-	})
+	m := radio.NewMedium(sched, radio.Config{Prop: radio.UnitDisk{Range: 200}})
 	side := 141.4 * math.Sqrt(float64(n))
 	arena := geo.Arena(side, side)
 	rng := rand.New(rand.NewSource(42)) //nolint:gosec // benchmark
@@ -217,40 +213,32 @@ func benchMedium(n int, grid bool) (*sim.Scheduler, *radio.Medium) {
 	return sched, m
 }
 
-// BenchmarkMediumBroadcast compares broadcast cost per implementation and
-// population. Run with -benchmem: the PR-3 acceptance bar is a ≥5×
-// grid-over-scan speedup at N=500.
+// BenchmarkMediumBroadcast measures broadcast cost per population.
 func BenchmarkMediumBroadcast(b *testing.B) {
 	payload := make([]byte, 64)
 	for _, n := range []int{50, 200, 500} {
-		for _, impl := range []string{"scan", "grid"} {
-			b.Run(fmt.Sprintf("N=%d/%s", n, impl), func(b *testing.B) {
-				sched, m := benchMedium(n, impl == "grid")
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.Send(addr.NodeAt(i%n+1), addr.Broadcast, payload)
-					sched.Run() // drain delivery events
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkNeighbors measures the range query per implementation, using
-// the append-into variant the hot paths are expected to call.
-func BenchmarkNeighbors(b *testing.B) {
-	const n = 200
-	for _, impl := range []string{"scan", "grid"} {
-		b.Run(impl, func(b *testing.B) {
-			_, m := benchMedium(n, impl == "grid")
-			buf := make([]addr.Node, 0, n)
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			sched, m := benchMedium(n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = m.NeighborsInto(addr.NodeAt(i%n+1), buf[:0])
+				m.Send(addr.NodeAt(i%n+1), addr.Broadcast, payload)
+				sched.Run() // drain delivery events
 			}
 		})
+	}
+}
+
+// BenchmarkNeighbors measures the range query, using the append-into
+// variant the hot paths are expected to call.
+func BenchmarkNeighbors(b *testing.B) {
+	const n = 200
+	_, m := benchMedium(n)
+	buf := make([]addr.Node, 0, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = m.NeighborsInto(addr.NodeAt(i%n+1), buf[:0])
 	}
 }
 

@@ -6,7 +6,6 @@
 //	idsbench -sweep ablation    # X4: Eq. 8 with vs without trust weights
 //	idsbench -sweep baselines   # X5: storm/replay/drop signature coverage
 //	idsbench -sweep scenarios   # X6: the scenario preset matrix + digests
-//	idsbench -sweep scale       # X7: large-N presets, grid vs scan medium
 //	idsbench -sweep forgers     # X8: detection vs log-forger fraction
 //	idsbench -sweep recommenders # X9: recommender attacks vs the deviation test
 //
@@ -50,7 +49,7 @@ func run() error {
 	camp := cliutil.Bind(flag.CommandLine, 1, "root seed; per-trial seeds are derived from it").
 		BindTrace("NDJSON run-trace directory for -sweep scenarios (one trace per preset)")
 	var (
-		sweep     = flag.String("sweep", "ablation", "mobility, size, ci, ablation, baselines, scenarios, scale, forgers or recommenders")
+		sweep     = flag.String("sweep", "ablation", "mobility, size, ci, ablation, baselines, scenarios, forgers or recommenders")
 		runs      = flag.Int("runs", 3, "trials per point (mobility sweep)")
 		serveLoad = flag.Bool("serve-load", false, "load-test the manetd campaign service instead of running a sweep")
 		campaigns = flag.Int("campaigns", 1000, "concurrent campaigns for -serve-load")
@@ -138,47 +137,6 @@ func run() error {
 		}
 		if camp.HasTrace() {
 			fmt.Printf("traces: %s/<scenario>.ndjson\n", camp.Trace)
-		}
-
-	case "scale":
-		// X7: the large-N matrix. Every scale preset runs once per medium
-		// implementation; identical digests are the equivalence proof at
-		// population scale, and the wall-clock ratio is the speedup the
-		// spatial grid buys end to end (medium + protocol + detection).
-		specs := scenario.ScalePresets()
-		if camp.SeedSet() {
-			for i := range specs {
-				specs[i].Seed = *seed
-			}
-		}
-		fmt.Println("X7: large-N scaling (grid vs scan medium, end-to-end wall clock)")
-		fmt.Printf("%-22s %6s %8s %-16s %10s %10s %8s\n",
-			"scenario", "nodes", "simTime", "digest", "grid", "scan", "speedup")
-		for _, s := range specs {
-			grid, scan := s, s
-			grid.Radio.Medium = "grid"
-			scan.Radio.Medium = "scan"
-			gridStart := time.Now()
-			gr, err := scenario.RunContext(context.Background(), grid)
-			if err != nil {
-				return err
-			}
-			gridWall := time.Since(gridStart)
-			scanStart := time.Now()
-			sr, err := scenario.RunContext(context.Background(), scan)
-			if err != nil {
-				return err
-			}
-			scanWall := time.Since(scanStart)
-			gd, sd := gr.Digest(), sr.Digest()
-			if gd != sd {
-				return fmt.Errorf("scale %s: medium digests diverge: grid %s, scan %s",
-					s.Name, gd.Hash, sd.Hash)
-			}
-			fmt.Printf("%-22s %6d %8s %-16s %10s %10s %7.1fx\n",
-				s.Name, s.Nodes, s.WithDefaults().Duration, gd.Hash,
-				gridWall.Round(10*time.Millisecond), scanWall.Round(10*time.Millisecond),
-				float64(scanWall)/float64(gridWall))
 		}
 
 	case "forgers":

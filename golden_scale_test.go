@@ -1,8 +1,8 @@
 package repro
 
 // The large-N golden corpus: scale presets (200- and 500-node scenarios)
-// run under both medium implementations at workers 1 and 8, with digests
-// pinned under testdata/golden/ like the ordinary corpus. The matrix is
+// run at workers 1 and 8, with digests pinned under testdata/golden/ like
+// the ordinary corpus. The matrix is
 // tens of seconds of simulation — far past the per-PR test budget — so
 // the test only runs when REPRO_SCALE=1 (the scale CI job and `make
 // scale` set it).

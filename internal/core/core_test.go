@@ -305,7 +305,7 @@ func TestMovingNodeChangesTopology(t *testing.T) {
 	// neighborhood; the simulation samples mobility continuously.
 	w := NewNetwork(Config{
 		Seed:  6,
-		Radio: radio.Config{Prop: radio.UnitDisk{Range: 150}, PropDelay: time.Millisecond},
+		Radio: radio.Config{Prop: radio.UnitDisk{Range: 150}, PropDelay: time.Millisecond, MaxSpeed: 10},
 	})
 	w.AddNode(NodeSpec{ID: addr.NodeAt(1), Pos: mobility.Static{P: geo.Pt(0, 0)}})
 	// Node 2 starts adjacent and walks away at 10 m/s after 10s.

@@ -69,6 +69,15 @@ func (l leg) at(t time.Duration) geo.Point {
 	return l.from.Lerp(l.to, f)
 }
 
+// after returns t+d, saturating at the largest Duration so an overlong
+// leg ends "never" instead of wrapping into the past.
+func after(t, d time.Duration) time.Duration {
+	if d > math.MaxInt64-t {
+		return math.MaxInt64
+	}
+	return t + d
+}
+
 // legTrack lazily grows a list of legs to cover queried times.
 type legTrack struct {
 	legs []leg
@@ -121,14 +130,20 @@ func NewRandomWaypoint(seed int64, cfg WaypointConfig) *RandomWaypoint {
 			dest := cfg.Arena.RandPoint(rng)
 			speed := cfg.MinSpeed + rng.Float64()*(cfg.MaxSpeed-cfg.MinSpeed)
 			dist := last.to.Dist(dest)
-			dur := time.Duration(float64(time.Second) * dist / speed)
+			ns := float64(time.Second) * dist / speed
+			// A trip that outlasts time.Duration goes as far as fits at
+			// this speed instead of wrapping its end into the past.
+			if room := math.MaxInt64 - last.end; ns >= float64(room) {
+				return leg{start: last.end, end: math.MaxInt64, from: last.to, to: last.to.Lerp(dest, float64(room)/ns)}
+			}
+			dur := time.Duration(ns)
 			if dur <= 0 {
 				dur = time.Millisecond
 			}
 			return leg{start: last.end, end: last.end + dur, from: last.to, to: dest}
 		}
 		// Just arrived: pause (or an instantaneous pause if Pause == 0).
-		end := last.end + cfg.Pause
+		end := after(last.end, cfg.Pause)
 		if cfg.Pause <= 0 {
 			end = last.end + time.Millisecond
 		}
@@ -172,7 +187,12 @@ func NewRandomWalk(seed int64, cfg WalkConfig) *RandomWalk {
 		dir := geo.Heading(rng.Float64() * 2 * math.Pi)
 		d := cfg.Speed * cfg.Epoch.Seconds()
 		dest := cfg.Arena.Clamp(last.to.Add(dir.Scale(d)))
-		return leg{start: last.end, end: last.end + cfg.Epoch, from: last.to, to: dest}
+		// From a start outside the arena the clamp can land farther than
+		// one segment away; walk back in at Speed instead of jumping.
+		if gap := last.to.Dist(dest); !cfg.Arena.Contains(last.to) && gap > d {
+			dest = last.to.Lerp(dest, d/gap)
+		}
+		return leg{start: last.end, end: after(last.end, cfg.Epoch), from: last.to, to: dest}
 	}
 	return m
 }

@@ -128,6 +128,68 @@ func TestRandomWalkStaysInArenaAndMoves(t *testing.T) {
 	}
 }
 
+func TestRandomWalkFromOutsideArenaKeepsSpeed(t *testing.T) {
+	// A start outside the arena walks back in at Speed; it never jumps to
+	// the border (the radio grid's MaxSpeed contract rests on this).
+	const speed = 3.0
+	arena := geo.Arena(200, 200)
+	m := NewRandomWalk(9, WalkConfig{Arena: arena, Start: geo.Pt(1000, -400), Speed: speed, Epoch: 5 * time.Second})
+	prev := m.Position(0)
+	for s := 1; s <= 600; s++ {
+		cur := m.Position(time.Duration(s) * time.Second)
+		if v := cur.Dist(prev); v > speed+1e-6 {
+			t.Fatalf("speed %v m/s exceeds %v at t=%ds", v, speed, s)
+		}
+		prev = cur
+	}
+	if !arena.Contains(prev) {
+		t.Fatalf("walker never re-entered the arena: %v", prev)
+	}
+}
+
+func TestRandomWalkInArenaIsPlainClamp(t *testing.T) {
+	// Inside the arena a segment ends exactly at the clamped heading
+	// step: the walk-back-in correction never touches it.
+	const seed, speed, epoch = 4, 7.0, 3 * time.Second
+	arena := geo.Arena(300, 300)
+	m := NewRandomWalk(seed, WalkConfig{Arena: arena, Start: geo.Pt(150, 150), Speed: speed, Epoch: epoch})
+	m.Position(10 * time.Minute)
+	rng := rand.New(rand.NewSource(seed))
+	for _, l := range m.track.legs[1:] {
+		dir := geo.Heading(rng.Float64() * 2 * math.Pi)
+		if want := arena.Clamp(l.from.Add(dir.Scale(speed * epoch.Seconds()))); l.to != want {
+			t.Fatalf("leg at %v ends at %v, want %v", l.start, l.to, want)
+		}
+	}
+}
+
+func TestOverlongLegsKeepSpeed(t *testing.T) {
+	// A trip longer than time.Duration can hold, and a pause or epoch
+	// that would overflow a leg's end, saturate instead of wrapping:
+	// the node never moves faster than its speed.
+	const slow, long = 1e-6, math.MaxInt64/2 + 1
+	small := geo.Arena(100, 100)
+	for _, c := range []struct {
+		name  string
+		m     Model
+		limit float64
+	}{
+		{"trip", NewRandomWaypoint(1, WaypointConfig{Arena: geo.Arena(1e6, 1e6), MinSpeed: slow, MaxSpeed: slow}), slow},
+		{"pause", NewRandomWaypoint(2, WaypointConfig{Arena: small, MinSpeed: 2, MaxSpeed: 2, Pause: long}), 2},
+		{"epoch", NewRandomWalk(3, WalkConfig{Arena: small, Start: geo.Pt(50, 50), Speed: 2, Epoch: long}), 2},
+	} {
+		var prevAt time.Duration
+		prev := c.m.Position(0)
+		for _, at := range []time.Duration{time.Hour, 1 << 40, 1 << 61, 1 << 62, 3 << 61, math.MaxInt64} {
+			cur := c.m.Position(at)
+			if v := cur.Dist(prev) / (at - prevAt).Seconds(); v > c.limit*(1+1e-9) {
+				t.Errorf("%s: %v m/s between %v and %v, above %v", c.name, v, prevAt, at, c.limit)
+			}
+			prev, prevAt = cur, at
+		}
+	}
+}
+
 func TestUniformPlacement(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	arena := geo.Arena(100, 100)

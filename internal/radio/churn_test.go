@@ -10,29 +10,45 @@ import (
 	"repro/internal/sim"
 )
 
-// Station churn edge cases, exercised under both medium implementations:
-// power-off while frames are in flight, re-attachment of a live id, and
-// the down-count bookkeeping the grid's lost-frame accounting leans on.
+// Station churn edge cases: power-off while frames are in flight,
+// re-attachment of a live id, and the down-count bookkeeping the grid's
+// lost-frame accounting leans on.
 
-// eachMedium runs the test body once on the scan medium and once on the
-// grid medium.
-func eachMedium(t *testing.T, body func(t *testing.T, s *sim.Scheduler, m *Medium)) {
+// medium is the surface the churn tests drive. The production Medium and
+// the scanMedium oracle both implement it.
+type medium interface {
+	Attach(id addr.Node, pos func() geo.Point, handler Handler)
+	SetDown(id addr.Node, down bool)
+	Send(from, to addr.Node, payload []byte)
+	Neighbors(id addr.Node) []addr.Node
+	NeighborsInto(id addr.Node, out []addr.Node) []addr.Node
+	Stats() Stats
+}
+
+// eachMedium runs the test body on the production grid medium and on the
+// scan oracle. The expectations are absolute, so they pin the oracle's
+// semantics too: a drift in the reference model fails here by name
+// instead of surfacing as a grid/scan divergence in the equivalence
+// harness.
+func eachMedium(t *testing.T, body func(t *testing.T, s *sim.Scheduler, m medium)) {
 	t.Helper()
-	for _, grid := range []bool{false, true} {
-		name := "scan"
-		if grid {
-			name = "grid"
-		}
-		t.Run(name, func(t *testing.T) {
+	cfg := Config{Prop: UnitDisk{Range: 100}, PropDelay: time.Millisecond}
+	for _, arm := range []struct {
+		name string
+		mk   func(*sim.Scheduler) medium
+	}{
+		{"grid", func(s *sim.Scheduler) medium { return NewMedium(s, cfg) }},
+		{"scan", func(s *sim.Scheduler) medium { return newScanMedium(s, cfg) }},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
 			s := sim.New(3)
-			m := NewMedium(s, Config{Prop: UnitDisk{Range: 100}, PropDelay: time.Millisecond, Grid: grid})
-			body(t, s, m)
+			body(t, s, arm.mk(s))
 		})
 	}
 }
 
 func TestSetDownMidFlight(t *testing.T) {
-	eachMedium(t, func(t *testing.T, s *sim.Scheduler, m *Medium) {
+	eachMedium(t, func(t *testing.T, s *sim.Scheduler, m medium) {
 		var got capture
 		m.Attach(addr.NodeAt(1), fixed(geo.Pt(0, 0)), nil)
 		m.Attach(addr.NodeAt(2), fixed(geo.Pt(50, 0)), got.handler())
@@ -64,7 +80,7 @@ func TestSetDownMidFlight(t *testing.T) {
 }
 
 func TestDownStationExcludedEverywhere(t *testing.T) {
-	eachMedium(t, func(t *testing.T, s *sim.Scheduler, m *Medium) {
+	eachMedium(t, func(t *testing.T, s *sim.Scheduler, m medium) {
 		m.Attach(addr.NodeAt(1), fixed(geo.Pt(0, 0)), nil)
 		m.Attach(addr.NodeAt(2), fixed(geo.Pt(50, 0)), nil)
 		m.Attach(addr.NodeAt(3), fixed(geo.Pt(90, 0)), nil)
@@ -77,9 +93,6 @@ func TestDownStationExcludedEverywhere(t *testing.T) {
 		if got := m.Neighbors(addr.NodeAt(2)); got != nil {
 			t.Fatalf("Neighbors of a down station = %v, want none", got)
 		}
-		if m.InRange(addr.NodeAt(1), addr.NodeAt(2)) {
-			t.Fatal("InRange true for a down station")
-		}
 		// A down station is skipped silently: no lost-frame charge. Both
 		// implementations must account identically.
 		m.Send(addr.NodeAt(1), addr.Broadcast, []byte("x"))
@@ -91,7 +104,7 @@ func TestDownStationExcludedEverywhere(t *testing.T) {
 }
 
 func TestReAttachExistingID(t *testing.T) {
-	eachMedium(t, func(t *testing.T, s *sim.Scheduler, m *Medium) {
+	eachMedium(t, func(t *testing.T, s *sim.Scheduler, m medium) {
 		var first, second capture
 		m.Attach(addr.NodeAt(1), fixed(geo.Pt(0, 0)), nil)
 		m.Attach(addr.NodeAt(2), fixed(geo.Pt(50, 0)), first.handler())
@@ -126,7 +139,7 @@ func TestReAttachExistingID(t *testing.T) {
 }
 
 func TestNeighborsIntoAgreesWithNeighbors(t *testing.T) {
-	eachMedium(t, func(t *testing.T, _ *sim.Scheduler, m *Medium) {
+	eachMedium(t, func(t *testing.T, _ *sim.Scheduler, m medium) {
 		rng := rand.New(rand.NewSource(11)) //nolint:gosec // test
 		arena := geo.Arena(400, 400)
 		const n = 40

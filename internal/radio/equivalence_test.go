@@ -11,21 +11,21 @@ import (
 	"repro/internal/sim"
 )
 
-// The equivalence harness: the spatial-grid medium must be a pure
-// performance substitution for the reference scan. Two mirrored mediums
-// run the same randomized campaign — placements, mobility steps, power
+// The equivalence harness: the spatial-grid Medium must deliver exactly
+// what the scan reference model (scanMedium, scan_test.go) delivers. The
+// two run the same randomized campaign — placements, mobility steps, power
 // cycling, re-attachment, broadcasts — on identically seeded schedulers,
 // and every observable (neighbor lists, delivery order, counters) must
 // match element for element. Because delivery loss draws from the
 // scheduler RNG per in-range candidate, any divergence in the candidate
 // visit order desynchronizes the streams and shows up immediately.
 
-// mirror is a scan medium and a grid medium over the same station set.
+// mirror is the scan oracle and the grid medium over the same station set.
 type mirror struct {
 	t     *testing.T
 	scanS *sim.Scheduler
 	gridS *sim.Scheduler
-	scan  *Medium
+	scan  *scanMedium
 	grid  *Medium
 
 	n       int
@@ -38,21 +38,10 @@ type mirror struct {
 // maxSpeed must bound every subsequent move step.
 func newMirror(t *testing.T, seed int64, n int, prop Propagation, maxSpeed float64, arena geo.Rect, rng *rand.Rand) *mirror {
 	t.Helper()
-	mk := func(grid bool) (*sim.Scheduler, *Medium) {
-		s := sim.New(seed)
-		return s, NewMedium(s, Config{
-			Prop:      prop,
-			PropDelay: time.Millisecond,
-			Grid:      grid,
-			MaxSpeed:  maxSpeed,
-		})
-	}
-	m := &mirror{t: t, n: n, pos: make([]geo.Point, n+1)}
-	m.scanS, m.scan = mk(false)
-	m.gridS, m.grid = mk(true)
-	if !m.grid.GridEnabled() {
-		t.Fatal("grid medium did not enable its spatial index")
-	}
+	cfg := Config{Prop: prop, PropDelay: time.Millisecond, MaxSpeed: maxSpeed}
+	m := &mirror{t: t, n: n, pos: make([]geo.Point, n+1), scanS: sim.New(seed), gridS: sim.New(seed)}
+	m.scan = newScanMedium(m.scanS, cfg)
+	m.grid = NewMedium(m.gridS, cfg)
 	for i := 1; i <= n; i++ {
 		m.pos[i] = arena.RandPoint(rng)
 		m.attach(i)
@@ -128,7 +117,7 @@ func equivalenceProps() []Propagation {
 	}
 }
 
-// TestGridScanEquivalence is the PR's headline property test: randomized
+// TestGridScanEquivalence is the grid's headline property test: randomized
 // placements, mobility steps, power cycling and re-attachment across
 // every propagation model, with 1000+ broadcast/neighbor comparisons.
 func TestGridScanEquivalence(t *testing.T) {
@@ -187,13 +176,9 @@ func TestGridScanEquivalence(t *testing.T) {
 // random campaign may miss: stations precisely at propagation range and
 // precisely on grid cell corners, including negative coordinates.
 func TestGridScanEquivalenceBoundaries(t *testing.T) {
-	prop := UnitDisk{Range: 100} // cell side = 100 exactly
-	mk := func(grid bool) (*sim.Scheduler, *Medium) {
-		s := sim.New(7)
-		return s, NewMedium(s, Config{Prop: prop, PropDelay: time.Millisecond, Grid: grid})
-	}
-	scanS, scan := mk(false)
-	gridS, grid := mk(true)
+	cfg := Config{Prop: UnitDisk{Range: 100}, PropDelay: time.Millisecond} // cell side = 100 exactly
+	scanS, gridS := sim.New(7), sim.New(7)
+	scan, grid := newScanMedium(scanS, cfg), NewMedium(gridS, cfg)
 
 	pts := []geo.Point{
 		geo.Pt(0, 0),       // cell corner

@@ -6,17 +6,16 @@
 // lost, all of which this model reproduces. See DESIGN.md §2 for the
 // substitution rationale versus a full 802.11 PHY/MAC.
 //
-// Two interchangeable implementations back broadcast delivery and the
-// Neighbors query: the reference linear scan over every attached station,
-// and a uniform spatial grid (Config.Grid) that visits only the 3×3 cell
-// neighborhood of the transmitter. The grid is a pure performance
-// substitution — candidate sets are re-sorted into attachment order and
-// the loss RNG is consulted for exactly the same stations in the same
-// order, so a seeded run is byte-identical under either implementation
-// (DESIGN.md §2.4).
+// Broadcast delivery and the Neighbors query run on a uniform spatial
+// grid that visits only the 3×3 cell neighborhood of the transmitter.
+// Candidates are visited in attachment order and every pruned station is
+// charged a lost frame, so a seeded run is byte-identical to a linear scan
+// over every attached station. The package tests keep such a scan as the
+// reference model the grid is checked against (DESIGN.md §2.4).
 package radio
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -40,7 +39,7 @@ type Propagation interface {
 	DeliveryProb(d float64) float64
 	// MaxRange returns the distance beyond which DeliveryProb is always 0.
 	// The spatial grid derives its cell size from it; a model must never
-	// deliver past its MaxRange or grid runs diverge from the scan.
+	// deliver past its MaxRange or the grid misses receivers.
 	MaxRange() float64
 }
 
@@ -105,7 +104,12 @@ type station struct {
 	down    bool
 
 	ord  int      // attachment order — the deterministic iteration rank
-	cell geo.Cell // current grid bucket (grid medium only)
+	cell geo.Cell // current grid bucket
+
+	// Position and time of the last speed-guard sample (Attach or a
+	// reindex pass).
+	sampled   geo.Point
+	sampledAt time.Duration
 }
 
 // Stats counts medium activity for the overhead experiments.
@@ -125,22 +129,25 @@ type Config struct {
 	// (bits / BitRate) to every frame.
 	BitRate float64 // bits per second
 
-	// Grid selects the spatial-index implementation: stations are bucketed
-	// into square cells of side MaxRange + MaxSpeed·ReindexInterval and a
-	// broadcast only examines the 3×3 neighborhood of the transmitter.
-	// Results are identical to the linear scan as long as MaxSpeed truly
-	// bounds every station's speed.
-	Grid bool
 	// MaxSpeed is the declared upper bound on any station's speed in m/s.
-	// The grid pads its cells by MaxSpeed·ReindexInterval so a station
-	// that moved since it was last bucketed is still found. 0 means all
-	// stations are static between reindex passes.
+	// The grid pads its cells by MaxSpeed·reindexInterval so a station
+	// that moved since it was last bucketed is still found. 0 means every
+	// station is static; only Attach may move it. The medium panics at the
+	// first reindex pass that sees a station break the bound.
 	MaxSpeed float64
-	// ReindexInterval is how much virtual time may pass before the grid
-	// re-buckets every station (default 1s). Transmitting stations are
-	// re-bucketed on every send regardless.
-	ReindexInterval time.Duration
 }
+
+const (
+	// reindexInterval is how much virtual time may pass before the grid
+	// re-buckets every station. Transmitting stations are re-bucketed on
+	// every send regardless.
+	reindexInterval = time.Second
+	// minCellSide keeps the cells positive when MaxRange and MaxSpeed are
+	// both zero: a UnitDisk{Range: 0} still reaches colocated stations.
+	minCellSide = 1.0 // meters
+	// speedSlack absorbs float rounding in the speed guard.
+	speedSlack = 1e-3 // meters
+)
 
 // Medium connects stations and delivers frames between them through the
 // event scheduler.
@@ -149,7 +156,7 @@ type Medium struct {
 	cfg      Config
 	rng      *rand.Rand
 	stations map[addr.Node]*station
-	order    []addr.Node // deterministic iteration order
+	order    []*station // live stations indexed by attachment rank
 	stats    Stats
 
 	downCount int // stations currently marked down
@@ -160,7 +167,7 @@ type Medium struct {
 	// the event count the scenario digests pin is untouched).
 	pool []*delivery
 
-	// Spatial index (nil cells map when running the reference scan).
+	// Spatial index.
 	cells       map[geo.Cell][]*station
 	cellSide    float64
 	lastReindex time.Duration
@@ -188,51 +195,37 @@ func NewMedium(sched *sim.Scheduler, cfg Config) *Medium {
 	if cfg.PropDelay <= 0 {
 		cfg.PropDelay = time.Millisecond
 	}
-	if cfg.ReindexInterval <= 0 {
-		cfg.ReindexInterval = time.Second
-	}
-	m := &Medium{
+	return &Medium{
 		sched:    sched,
 		cfg:      cfg,
 		rng:      sched.Rand(),
 		stations: make(map[addr.Node]*station),
+		cells:    make(map[geo.Cell][]*station),
+		nbhd:     make(map[geo.Cell]*neighborhood),
+		cellSide: max(cfg.Prop.MaxRange()+cfg.MaxSpeed*reindexInterval.Seconds(), minCellSide),
 	}
-	if cfg.Grid {
-		side := cfg.Prop.MaxRange() + cfg.MaxSpeed*cfg.ReindexInterval.Seconds()
-		if side > 0 {
-			m.cells = make(map[geo.Cell][]*station)
-			m.nbhd = make(map[geo.Cell]*neighborhood)
-			m.cellSide = side
-		}
-	}
-	return m
 }
-
-// GridEnabled reports whether this medium runs on the spatial index.
-func (m *Medium) GridEnabled() bool { return m.cells != nil }
 
 // Attach registers a station. pos is sampled at transmission time so moving
 // nodes are supported; handler receives delivered frames. Re-attaching an
 // existing id replaces its position source and handler and clears any down
 // mark, keeping the station's original iteration rank.
 func (m *Medium) Attach(id addr.Node, pos func() geo.Point, handler Handler) {
-	st := &station{id: id, pos: pos, handler: handler}
+	p := pos()
+	st := &station{id: id, pos: pos, handler: handler, sampled: p, sampledAt: m.sched.Now()}
 	if old, dup := m.stations[id]; dup {
 		st.ord = old.ord
 		if old.down {
 			m.downCount--
 		}
-		if m.cells != nil {
-			m.bucketRemove(old)
-		}
+		m.bucketRemove(old)
+		m.order[st.ord] = st
 	} else {
 		st.ord = len(m.order)
-		m.order = append(m.order, id)
+		m.order = append(m.order, st)
 	}
 	m.stations[id] = st
-	if m.cells != nil {
-		m.bucketInsert(st, st.pos())
-	}
+	m.bucketInsert(st, p)
 }
 
 // SetDown marks a station as powered off (true) or on (false); a down
@@ -253,17 +246,6 @@ func (m *Medium) SetDown(id addr.Node, down bool) {
 // Stats returns a copy of the medium counters.
 func (m *Medium) Stats() Stats { return m.stats }
 
-// InRange reports whether a and b can currently hear each other with
-// non-zero probability. Used by tests and topology checks.
-func (m *Medium) InRange(a, b addr.Node) bool {
-	sa, oka := m.stations[a]
-	sb, okb := m.stations[b]
-	if !oka || !okb || sa.down || sb.down {
-		return false
-	}
-	return m.cfg.Prop.DeliveryProb(sa.pos().Dist(sb.pos())) > 0
-}
-
 // Neighbors returns the stations currently within (possibly lossy) range of
 // id, in deterministic order.
 func (m *Medium) Neighbors(id addr.Node) []addr.Node {
@@ -281,26 +263,15 @@ func (m *Medium) NeighborsInto(id addr.Node, out []addr.Node) []addr.Node {
 	if !ok || self.down {
 		return out
 	}
-	if m.cells != nil {
-		m.reindexIfStale()
-		p := self.pos()
-		m.bucketMove(self, p)
-		for _, other := range m.neighborhoodOf(self.cell) {
-			if other == self || other.down {
-				continue
-			}
-			if m.cfg.Prop.DeliveryProb(p.Dist(other.pos())) > 0 {
-				out = append(out, other.id)
-			}
-		}
-		return out
-	}
-	for _, other := range m.order {
-		if other == id {
+	m.reindexIfStale()
+	p := self.pos()
+	m.bucketMove(self, p)
+	for _, other := range m.neighborhoodOf(self.cell) {
+		if other == self || other.down {
 			continue
 		}
-		if m.InRange(id, other) {
-			out = append(out, other)
+		if m.cfg.Prop.DeliveryProb(p.Dist(other.pos())) > 0 {
+			out = append(out, other.id)
 		}
 	}
 	return out
@@ -341,33 +312,22 @@ func (m *Medium) Send(from, to addr.Node, payload []byte) {
 	}
 
 	if to == addr.Broadcast {
-		if m.cells != nil {
-			m.reindexIfStale()
-			m.bucketMove(src, srcPos)
-			union := m.neighborhoodOf(src.cell)
-			m.sched.Reserve(len(union))
-			visited := 0
-			for _, dst := range union {
-				if dst == src || dst.down {
-					continue
-				}
-				visited++
-				deliver(dst)
-			}
-			// Every station the grid pruned is out of range by the cell-size
-			// contract; the scan would have charged each one a lost frame.
-			eligible := len(m.order) - m.downCount - 1
-			m.stats.FramesLost += uint64(eligible - visited) //nolint:gosec // visited ⊆ eligible
-			return
-		}
-		m.sched.Reserve(len(m.order) - 1)
-		for _, id := range m.order {
-			dst := m.stations[id]
-			if dst.id == from || dst.down {
+		m.reindexIfStale()
+		m.bucketMove(src, srcPos)
+		union := m.neighborhoodOf(src.cell)
+		m.sched.Reserve(len(union))
+		visited := 0
+		for _, dst := range union {
+			if dst == src || dst.down {
 				continue
 			}
+			visited++
 			deliver(dst)
 		}
+		// Every station the grid pruned is out of range by the cell-size
+		// contract and is charged a lost frame, as a scan would charge it.
+		eligible := len(m.order) - m.downCount - 1
+		m.stats.FramesLost += uint64(eligible - visited) //nolint:gosec // visited ⊆ eligible
 		return
 	}
 	if dst, ok := m.stations[to]; ok && !dst.down {
@@ -415,24 +375,38 @@ func runDelivery(a any) {
 
 // --- spatial index maintenance ---
 
-// reindexIfStale re-buckets every station once ReindexInterval of virtual
+// reindexIfStale re-buckets every station once reindexInterval of virtual
 // time has passed since the last full pass. Between passes a station's
 // recorded cell may trail its true position by at most
-// MaxSpeed·ReindexInterval — exactly the padding built into the cell
+// MaxSpeed·reindexInterval — exactly the padding built into the cell
 // size — so the 3×3 candidate neighborhood still covers every station
 // the propagation model could reach. The pass runs lazily inside queries
 // rather than as a scheduled event: the medium must not perturb the
 // scheduler's event count, which the scenario digests pin.
 func (m *Medium) reindexIfStale() {
 	now := m.sched.Now()
-	if now-m.lastReindex < m.cfg.ReindexInterval {
+	if now-m.lastReindex < reindexInterval {
 		return
 	}
 	m.lastReindex = now
-	for _, id := range m.order {
-		st := m.stations[id]
-		m.bucketMove(st, st.pos())
+	for _, st := range m.order {
+		p := st.pos()
+		m.checkSpeed(st, p, now)
+		m.bucketMove(st, p)
 	}
+}
+
+// checkSpeed enforces the MaxSpeed contract the cell padding rests on: a
+// station that outran the declared bound since its last sample could sit
+// outside the 3×3 neighborhood it is searched in, so the run stops
+// instead of silently losing frames.
+func (m *Medium) checkSpeed(st *station, p geo.Point, now time.Duration) {
+	dt := now - st.sampledAt
+	if moved, bound := p.Dist(st.sampled), m.cfg.MaxSpeed*dt.Seconds()+speedSlack; moved > bound {
+		panic(fmt.Sprintf("radio: station %v moved %.3f m in %s, more than the declared MaxSpeed %g m/s allows (%.3f m)",
+			st.id, moved, dt, m.cfg.MaxSpeed, bound))
+	}
+	st.sampled, st.sampledAt = p, now
 }
 
 // bucketInsert places a station into the cell covering p.
@@ -463,19 +437,15 @@ func (m *Medium) bucketRemove(st *station) {
 
 // bucketMove re-buckets a station whose sampled position is p.
 func (m *Medium) bucketMove(st *station, p geo.Point) {
-	c := geo.CellOf(p, m.cellSide)
-	if c == st.cell {
-		return
+	if geo.CellOf(p, m.cellSide) != st.cell {
+		m.bucketRemove(st)
+		m.bucketInsert(st, p)
 	}
-	m.bucketRemove(st)
-	st.cell = c
-	m.cells[c] = append(m.cells[c], st)
-	m.gen++
 }
 
 // neighborhoodOf returns every station bucketed in the 3×3 cell block
 // around c, sorted into attachment order so callers visit stations
-// exactly as the reference scan would. The union is cached per cell and
+// exactly as a full scan would. The union is cached per cell and
 // revalidated against the bucket generation — in quasi-static stretches
 // (most of a run, even under mobility: a station crosses a ≥range-sized
 // cell boundary rarely) a broadcast costs one map hit instead of nine

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -170,7 +171,7 @@ func TestDownStation(t *testing.T) {
 
 func TestMovingNodesChangeConnectivity(t *testing.T) {
 	s := sim.New(1)
-	m := NewMedium(s, Config{Prop: UnitDisk{Range: 100}})
+	m := NewMedium(s, Config{Prop: UnitDisk{Range: 100}, MaxSpeed: 50})
 	pos := geo.Pt(50, 0)
 	var got capture
 	m.Attach(addr.NodeAt(1), fixed(geo.Pt(0, 0)), nil)
@@ -178,16 +179,82 @@ func TestMovingNodesChangeConnectivity(t *testing.T) {
 
 	m.Send(addr.NodeAt(1), addr.Broadcast, []byte("1"))
 	s.Run()
-	pos = geo.Pt(400, 0) // moves away
+	s.RunUntil(10 * time.Second)
+	pos = geo.Pt(400, 0) // moved away at 35 m/s
 	m.Send(addr.NodeAt(1), addr.Broadcast, []byte("2"))
 	s.Run()
 
 	if len(got.frames) != 1 {
 		t.Fatalf("got %d frames, want 1 (only while in range)", len(got.frames))
 	}
-	if !m.InRange(addr.NodeAt(1), addr.NodeAt(2)) == false {
-		t.Log("InRange false after move, as expected")
+	if n := m.Neighbors(addr.NodeAt(1)); len(n) != 0 {
+		t.Fatalf("Neighbors after the move = %v, want none", n)
 	}
+}
+
+func TestZeroRangeReachesColocated(t *testing.T) {
+	// MaxRange 0 and MaxSpeed 0 would make a zero-sized cell; the grid
+	// falls back to its minimum cell side and still finds the colocated
+	// station while charging the one a meter away a lost frame.
+	s := sim.New(1)
+	m := NewMedium(s, Config{Prop: UnitDisk{Range: 0}})
+	var got capture
+	m.Attach(addr.NodeAt(1), fixed(geo.Pt(3, 3)), nil)
+	m.Attach(addr.NodeAt(2), fixed(geo.Pt(3, 3)), got.handler())
+	m.Attach(addr.NodeAt(3), fixed(geo.Pt(4, 3)), nil)
+	m.Attach(addr.NodeAt(4), fixed(geo.Pt(500, 500)), nil)
+
+	if n := m.Neighbors(addr.NodeAt(1)); len(n) != 1 || n[0] != addr.NodeAt(2) {
+		t.Fatalf("Neighbors = %v, want [%v]", n, addr.NodeAt(2))
+	}
+	m.Send(addr.NodeAt(1), addr.Broadcast, []byte("x"))
+	s.Run()
+	if len(got.frames) != 1 {
+		t.Fatalf("colocated station got %d frames, want 1", len(got.frames))
+	}
+	if st := m.Stats(); st.FramesDelivered != 1 || st.FramesLost != 2 {
+		t.Fatalf("stats = %+v, want FramesDelivered=1 FramesLost=2", st)
+	}
+}
+
+func TestSpeedGuard(t *testing.T) {
+	mover := func(maxSpeed float64) (*sim.Scheduler, *Medium, *geo.Point) {
+		s := sim.New(1)
+		m := NewMedium(s, Config{Prop: UnitDisk{Range: 100}, MaxSpeed: maxSpeed})
+		pos := geo.Pt(0, 0)
+		m.Attach(addr.NodeAt(1), fixed(geo.Pt(0, 0)), nil)
+		m.Attach(addr.NodeAt(2), func() geo.Point { return pos }, nil)
+		return s, m, &pos
+	}
+
+	t.Run("undeclared mover panics", func(t *testing.T) {
+		s, m, pos := mover(0)
+		*pos = geo.Pt(5, 0)
+		s.RunUntil(2 * time.Second)
+		defer func() {
+			want := addr.NodeAt(2).String() + " moved 5.000 m"
+			if msg, _ := recover().(string); !strings.Contains(msg, want) {
+				t.Fatalf("panic %q, want one naming %q", msg, want)
+			}
+		}()
+		m.Send(addr.NodeAt(1), addr.Broadcast, []byte("x"))
+	})
+	t.Run("declared mover passes", func(t *testing.T) {
+		s, m, pos := mover(2.5)
+		*pos = geo.Pt(5, 0) // exactly MaxSpeed·Δt
+		s.RunUntil(2 * time.Second)
+		m.Send(addr.NodeAt(1), addr.Broadcast, []byte("x"))
+		*pos = geo.Pt(8, 0) // 3 m in the next 1.2 s: 2.5 m/s
+		s.RunUntil(3200 * time.Millisecond)
+		m.Send(addr.NodeAt(1), addr.Broadcast, []byte("x"))
+	})
+	t.Run("attach resets the sample", func(t *testing.T) {
+		s, m, pos := mover(0)
+		*pos = geo.Pt(50, 0)
+		m.Attach(addr.NodeAt(2), func() geo.Point { return *pos }, nil)
+		s.RunUntil(2 * time.Second)
+		m.Send(addr.NodeAt(1), addr.Broadcast, []byte("x"))
+	})
 }
 
 func TestNeighbors(t *testing.T) {

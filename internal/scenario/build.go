@@ -120,7 +120,6 @@ func buildTraced(spec Spec, sink trace.Sink) (*Built, error) {
 			Prop:      spec.radioProp(),
 			PropDelay: spec.Radio.PropDelay.D(),
 			BitRate:   spec.Radio.BitRate,
-			Grid:      spec.Radio.Medium == "grid",
 			// Mobility.MaxSpeed bounds every moving station the builder
 			// creates: waypoint and walk models never exceed it, pinned
 			// attackers and explicit placements are static, and wormhole

@@ -73,7 +73,7 @@ func PacketPresets() []Spec {
 }
 
 // ScalePresets returns the large-N packet presets, sorted by name — the
-// corpus of the scale CI job (TestGoldenScale, idsbench -sweep scale).
+// corpus of the scale CI job (TestGoldenScale).
 func ScalePresets() []Spec {
 	var out []Spec
 	for _, s := range Presets() {
@@ -295,10 +295,9 @@ func init() {
 }
 
 // registerScalePresets adds the large-N presets: the same attack
-// narratives as the small corpus, at populations the naive medium scan
-// cannot sustain. They default to the grid medium (the scale golden
-// check re-runs them on the scan to prove equivalence) and are excluded
-// from the per-PR golden corpus — the scale CI job owns them.
+// narratives as the small corpus, at populations where the radio grid
+// and the scheduler heap do real work. They are excluded from the default
+// golden corpus — the scale CI job owns them.
 func registerScalePresets() {
 	Register(Spec{
 		Name: "linkspoof-200",
@@ -308,7 +307,6 @@ func registerScalePresets() {
 		Nodes:     200,
 		ArenaSide: 2000,
 		Scale:     true,
-		Radio:     RadioSpec{Medium: "grid"},
 		Duration:  Dur(90 * time.Second),
 		Attacks: []AttackSpec{
 			{Kind: "linkspoof", Node: 200, Mode: "phantom", At: Dur(30 * time.Second), Pin: true, DropCtrl: true},
@@ -321,7 +319,6 @@ func registerScalePresets() {
 		Nodes:       200,
 		ArenaSide:   2000,
 		Scale:       true,
-		Radio:       RadioSpec{Medium: "grid"},
 		Mobility:    MobilitySpec{Model: "waypoint", MaxSpeed: 2},
 		Duration:    Dur(90 * time.Second),
 		Attacks: []AttackSpec{
@@ -336,7 +333,6 @@ func registerScalePresets() {
 		Nodes:     500,
 		ArenaSide: 3000,
 		Scale:     true,
-		Radio:     RadioSpec{Medium: "grid"},
 		Duration:  Dur(30 * time.Second),
 		Attacks: []AttackSpec{
 			{Kind: "storm", Node: 2, Peer: 4, Target: 3, At: Dur(10 * time.Second), For: Dur(15 * time.Second)},
@@ -349,7 +345,6 @@ func registerScalePresets() {
 		Nodes:       500,
 		ArenaSide:   3000,
 		Scale:       true,
-		Radio:       RadioSpec{Medium: "grid"},
 		Mobility:    MobilitySpec{Model: "waypoint", MaxSpeed: 2},
 		Duration:    Dur(30 * time.Second),
 		Attacks: []AttackSpec{

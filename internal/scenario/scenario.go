@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"time"
 
@@ -89,11 +90,6 @@ type Position struct {
 type RadioSpec struct {
 	// Model is "unitdisk" (default) or "lossy".
 	Model string `json:"model,omitempty"`
-	// Medium selects the delivery implementation: "scan" (default) is the
-	// reference linear scan, "grid" the spatial index (radio.Config.Grid).
-	// The two produce byte-identical digests — the golden cross-check
-	// enforces it — so the choice is purely about speed at scale.
-	Medium string `json:"medium,omitempty"`
 	// Range is the (reliable) radio range in meters (default 200).
 	Range float64 `json:"range,omitempty"`
 	// FadeRange and Loss parameterize the lossy model (see radio.LossyDisk).
@@ -252,6 +248,10 @@ type RoundsSpec struct {
 // keys via DisallowUnknownFields).
 const SpecVersion = 1
 
+// maxCoord bounds the arena side and every explicit coordinate, in
+// meters: float64 resolves well under a millimetre there.
+const maxCoord = 1e6
+
 // Spec is a complete declarative scenario.
 type Spec struct {
 	// Version is the wire-format version (0 or SpecVersion today; 0
@@ -333,9 +333,6 @@ func (s Spec) WithDefaults() Spec {
 	if s.Radio.Model == "" {
 		s.Radio.Model = "unitdisk"
 	}
-	if s.Radio.Medium == "" {
-		s.Radio.Medium = "scan"
-	}
 	if s.Radio.Range <= 0 {
 		s.Radio.Range = 200
 	}
@@ -383,9 +380,22 @@ func (s Spec) Validate() error {
 		{"arenaSide", raw.ArenaSide < 0, raw.ArenaSide},
 		{"radio.range", raw.Radio.Range < 0, raw.Radio.Range},
 		{"radio.propDelay", raw.Radio.PropDelay < 0, raw.Radio.PropDelay},
+		{"mobility.minSpeed", raw.Mobility.MinSpeed < 0, raw.Mobility.MinSpeed},
+		{"mobility.maxSpeed", raw.Mobility.MaxSpeed < 0, raw.Mobility.MaxSpeed},
 	} {
 		if f.neg {
 			return fmt.Errorf("scenario %q: negative %s %v", s.Name, f.name, f.val)
+		}
+	}
+	// Past maxCoord a float64 position no longer resolves a walker's
+	// steps, and the radio grid's speed guard would mistake the rounding
+	// for a jump.
+	if s.ArenaSide > maxCoord {
+		return fmt.Errorf("scenario %q: arenaSide %v above %v m", s.Name, s.ArenaSide, maxCoord)
+	}
+	for i, p := range s.Positions {
+		if math.Abs(p.X) > maxCoord || math.Abs(p.Y) > maxCoord {
+			return fmt.Errorf("scenario %q: position %d (%v, %v) beyond ±%v m", s.Name, i, p.X, p.Y, maxCoord)
 		}
 	}
 	switch s.Placement {
@@ -401,15 +411,16 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario %q: unknown radio model %q", s.Name, s.Radio.Model)
 	}
-	switch s.Radio.Medium {
-	case "", "scan", "grid":
-	default:
-		return fmt.Errorf("scenario %q: unknown radio medium %q", s.Name, s.Radio.Medium)
-	}
 	switch s.Mobility.Model {
 	case "static", "waypoint", "walk":
 	default:
 		return fmt.Errorf("scenario %q: unknown mobility model %q", s.Name, s.Mobility.Model)
+	}
+	// MaxSpeed is the bound the radio grid pads its cells with; a
+	// waypoint model would silently raise it to MinSpeed.
+	if s.Mobility.MinSpeed > s.Mobility.MaxSpeed {
+		return fmt.Errorf("scenario %q: mobility minSpeed %v above maxSpeed %v",
+			s.Name, s.Mobility.MinSpeed, s.Mobility.MaxSpeed)
 	}
 	if s.Victim > s.Nodes {
 		return fmt.Errorf("scenario %q: victim %d outside population %d", s.Name, s.Victim, s.Nodes)
@@ -461,6 +472,14 @@ func (s Spec) validateAttack(a AttackSpec) error {
 	if !inPop(a.Node) {
 		return fmt.Errorf("%s: node %d outside population %d", a.Kind, a.Node, s.Nodes)
 	}
+	for _, f := range []struct {
+		name string
+		d    Duration
+	}{{"at", a.At}, {"for", a.For}, {"interval", a.Interval}, {"delay", a.Delay}, {"onOff", a.OnOff}} {
+		if f.d < 0 {
+			return fmt.Errorf("%s: negative %s %s", a.Kind, f.name, f.d)
+		}
+	}
 	switch a.Kind {
 	case "linkspoof":
 		switch a.Mode {
@@ -503,9 +522,6 @@ func (s Spec) validateAttack(a AttackSpec) error {
 		}
 		if a.Peer == a.Node {
 			return fmt.Errorf("%s: node %d cannot recommend about itself (self-promotion is discarded)", a.Kind, a.Node)
-		}
-		if a.OnOff < 0 {
-			return fmt.Errorf("%s: negative onOff period %s", a.Kind, a.OnOff)
 		}
 	default:
 		return fmt.Errorf("unknown attack kind %q", a.Kind)

@@ -94,10 +94,17 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	if _, err := Parse([]byte(`{"name":"x","nodez":4}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
+	// The radio grid is the only medium; a spec still selecting one fails
+	// instead of running on something it did not ask for.
+	if _, err := Parse([]byte(`{"name":"x","radio":{"medium":"scan"}}`)); err == nil {
+		t.Error("radio.medium accepted")
+	}
 }
 
-func TestValidate(t *testing.T) {
-	bad := []Spec{
+// invalidSpecs is the table of specs Validate must reject; FuzzSpec
+// seeds its corpus from it too.
+func invalidSpecs() []Spec {
+	return []Spec{
 		{Name: "k", Kind: "quantum"},
 		{Name: "p", Placement: "spiral"},
 		{Name: "r", Radio: RadioSpec{Model: "maxwell"}},
@@ -120,6 +127,19 @@ func TestValidate(t *testing.T) {
 		{Name: "neg-arena", ArenaSide: -1},
 		{Name: "neg-range", Radio: RadioSpec{Range: -1}},
 		{Name: "neg-propdelay", Radio: RadioSpec{PropDelay: Dur(-time.Millisecond)}},
+		// Coordinates too large for float64 to resolve a walker's steps.
+		{Name: "huge-arena", Nodes: 4, ArenaSide: 1e17, Mobility: MobilitySpec{Model: "waypoint", MinSpeed: 2, MaxSpeed: 2}},
+		{Name: "far-position", Nodes: 2, Positions: []Position{{X: 1e17}, {Y: -1e7}}},
+		// Speeds the radio grid relies on: no negative bound, and no
+		// waypoint minimum the model would raise the declared maximum to.
+		{Name: "neg-minspeed", Mobility: MobilitySpec{Model: "waypoint", MinSpeed: -1, MaxSpeed: 2}},
+		{Name: "neg-maxspeed", Mobility: MobilitySpec{Model: "walk", MaxSpeed: -2}},
+		{Name: "min-above-max", Mobility: MobilitySpec{Model: "waypoint", MinSpeed: 10, MaxSpeed: 2}},
+		// Negative attack times.
+		{Name: "a-neg-at", Attacks: []AttackSpec{{Kind: "linkspoof", Node: 1, At: Dur(-time.Second)}}},
+		{Name: "a-neg-for", Attacks: []AttackSpec{{Kind: "storm", Node: 1, Peer: 2, For: Dur(-time.Second)}}},
+		{Name: "a-neg-interval", Attacks: []AttackSpec{{Kind: "storm", Node: 1, Peer: 2, Interval: Dur(-time.Second)}}},
+		{Name: "a-neg-delay", Attacks: []AttackSpec{{Kind: "wormhole", Node: 1, Peer: 2, Delay: Dur(-time.Second)}}},
 		// One role-bearing attack per node: a spoofer and a drop hook on
 		// the same router cannot coexist (NodeSpec installs one of them).
 		{Name: "dup-role", Attacks: []AttackSpec{
@@ -158,7 +178,10 @@ func TestValidate(t *testing.T) {
 				{Kind: "ballotstuff", Node: 2},
 			}},
 	}
-	for _, s := range bad {
+}
+
+func TestValidate(t *testing.T) {
+	for _, s := range invalidSpecs() {
 		if err := s.Validate(); err == nil {
 			t.Errorf("spec %q validated despite being invalid", s.Name)
 		}
