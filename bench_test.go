@@ -297,7 +297,7 @@ func BenchmarkOLSRConvergence(b *testing.B) {
 		nodes := make([]*olsr.Node, 16)
 		for j := 0; j < 16; j++ {
 			id := addr.NodeAt(j + 1)
-			n := olsr.New(olsr.Config{Addr: id}, sched, func(bs []byte) {
+			n := olsr.New(id, sched, func(bs []byte) {
 				// The node reuses its encode buffer; the medium retains
 				// payloads until delivery, so send a copy.
 				medium.Send(id, addr.Broadcast, append([]byte(nil), bs...))

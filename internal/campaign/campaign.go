@@ -5,8 +5,8 @@
 // worker pool, observable while running, and cancelable.
 //
 // The package is the library API behind cmd/manetd (the HTTP/JSON
-// front-end) and the CLIs: a Store abstracts campaign persistence
-// (MemStore today, a durable backend later), a Manager owns the queue,
+// front-end) and the CLIs: a MemStore keeps campaigns in memory, a
+// Manager owns the queue,
 // per-tenant concurrency quotas and token-bucket rate limits, and
 // graceful shutdown drains running campaigns before the process exits.
 //

@@ -28,11 +28,9 @@ var (
 	ErrTerminal = errors.New("campaign: already in a terminal state")
 )
 
-// Config parameterizes a Manager. The zero value is usable: in-memory
-// store, no quotas, GOMAXPROCS campaign executors.
+// Config parameterizes a Manager. The zero value is usable: no quotas,
+// GOMAXPROCS campaign executors.
 type Config struct {
-	// Store persists campaigns; nil selects a fresh MemStore.
-	Store Store
 	// Quota bounds every tenant (per-tenant overrides can come later;
 	// the wire format already carries the tenant).
 	Quota Quota
@@ -55,7 +53,7 @@ type Config struct {
 // queued or running ones; Drain stops intake and waits for the queue to
 // empty. All methods are safe for concurrent use.
 type Manager struct {
-	store   Store
+	store   *MemStore
 	quota   Quota
 	limiter *limiter
 	now     func() time.Time
@@ -92,9 +90,6 @@ type Manager struct {
 
 // NewManager starts a manager and its executor pool.
 func NewManager(cfg Config) *Manager {
-	if cfg.Store == nil {
-		cfg.Store = NewMemStore()
-	}
 	if cfg.CampaignWorkers <= 0 {
 		cfg.CampaignWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -109,7 +104,7 @@ func NewManager(cfg Config) *Manager {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		store:      cfg.Store,
+		store:      NewMemStore(),
 		quota:      cfg.Quota,
 		limiter:    newLimiter(cfg.Quota, cfg.Now),
 		now:        cfg.Now,
@@ -538,7 +533,7 @@ func (m *Manager) executeRun(ctx context.Context, id string, snap *Campaign, i i
 	runtime.ReadMemStats(&ms)
 	startMallocs := ms.Mallocs
 	start := time.Now()
-	res, err := scenario.RunContextTraced(ctx, spec, sink)
+	res, err := runSpec(ctx, spec, sink)
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&ms)
 	allocs := ms.Mallocs - startMallocs
@@ -570,6 +565,17 @@ func (m *Manager) executeRun(ctx context.Context, id string, snap *Campaign, i i
 			r.Canonical = d.Canonical
 		}
 	})
+}
+
+// runSpec runs one spec and turns a panic inside the run into the run's
+// error: a spec Validate missed fails its own run, not the service.
+func runSpec(ctx context.Context, spec scenario.Spec, sink trace.Sink) (res *scenario.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("campaign: run panicked: %v", p)
+		}
+	}()
+	return scenario.RunContextTraced(ctx, spec, sink)
 }
 
 // finishRun applies a terminal mutation to one run and notifies.

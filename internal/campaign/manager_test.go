@@ -3,9 +3,11 @@ package campaign
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/scenario"
 )
@@ -127,6 +129,35 @@ func TestSubmitRejectsRoundsAndInvalidSpecs(t *testing.T) {
 	bad.Mobility.Model = "teleport"
 	if _, err := m.Submit("t", []scenario.Spec{bad}, RunOpts{}); err == nil {
 		t.Error("invalid spec accepted; want Validate error")
+	}
+}
+
+// TestRunPanicFailsTheRun: a panic inside one run marks that run failed
+// with the panic text, and the manager goes on serving campaigns.
+func TestRunPanicFailsTheRun(t *testing.T) {
+	m := NewManager(Config{})
+	defer m.Close()
+
+	boom := tinySpec(3)
+	boom.Custom = func(*core.Network) { panic("custom hook exploded") }
+	c, err := m.Submit("t", []scenario.Spec{boom}, RunOpts{})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	fin := waitTerminal(t, m, c.ID)
+	if fin.State != StateFailed || fin.Runs[0].State != StateFailed {
+		t.Fatalf("campaign %q, run %q; want both failed", fin.State, fin.Runs[0].State)
+	}
+	if !strings.Contains(fin.Runs[0].Error, "custom hook exploded") {
+		t.Errorf("run error %q does not carry the panic value", fin.Runs[0].Error)
+	}
+
+	next, err := m.Submit("t", []scenario.Spec{tinySpec(4)}, RunOpts{})
+	if err != nil {
+		t.Fatalf("Submit after the panic: %v", err)
+	}
+	if fin := waitTerminal(t, m, next.ID); fin.State != StateDone {
+		t.Errorf("campaign after the panic: state %q (error %q)", fin.State, fin.Error)
 	}
 }
 

@@ -86,8 +86,6 @@ type Config struct {
 	Radio radio.Config
 	// LogCap bounds each node's audit log (0 = unbounded).
 	LogCap int
-	// CtrlTTL bounds control-plane forwarding (default 16 hops).
-	CtrlTTL int
 	// BinaryCtrl switches the control-plane envelope (verification
 	// traffic and tree-head gossip) from JSON to the length-prefixed
 	// binary codec (ctrlwire.go). Receivers auto-detect the format by
@@ -132,9 +130,6 @@ type Network struct {
 
 // NewNetwork creates an empty network.
 func NewNetwork(cfg Config) *Network {
-	if cfg.CtrlTTL <= 0 {
-		cfg.CtrlTTL = 16
-	}
 	// Resolve the reputation plane's defaults once, here, so every
 	// consumer — the gossip scheduler, the message VTime, the ledgers —
 	// sees the same effective values (reputation.Config re-defaults
@@ -182,8 +177,6 @@ type NodeSpec struct {
 	ID addr.Node
 	// Pos is the node's mobility model (default: static at the origin).
 	Pos mobility.Model
-	// OLSR overrides protocol timers; the Addr field is set from ID.
-	OLSR olsr.Config
 	// Detector enables an intrusion detector with this configuration
 	// (Self is set from ID). Nil disables detection on the node.
 	Detector *detect.Config
@@ -264,9 +257,7 @@ func (w *Network) AddNode(spec NodeSpec) *Node {
 		logs.SetSealKey([]byte("seal:" + id.String()))
 	}
 
-	olsrCfg := spec.OLSR
-	olsrCfg.Addr = id
-	router := olsr.New(olsrCfg, w.Sched, func(b []byte) {
+	router := olsr.New(id, w.Sched, func(b []byte) {
 		w.traceSend(id, "olsr")
 		w.Medium.Send(id, addr.Broadcast, append([]byte{PayloadOLSR}, b...))
 	}, logs)

@@ -9,6 +9,10 @@ import (
 	"repro/internal/detect"
 )
 
+// ctrlTTL bounds control-plane forwarding, verification traffic,
+// tree-head and recommendation floods alike, in hops.
+const ctrlTTL = 16
+
 // ctrlKind discriminates control-plane message types.
 type ctrlKind string
 
@@ -57,7 +61,7 @@ func (t *nodeTransport) SendVerify(req detect.VerifyRequest) {
 		Kind:  ctrlVerifyReq,
 		From:  t.node.ID,
 		To:    req.Responder,
-		TTL:   t.node.net.cfg.CtrlTTL,
+		TTL:   ctrlTTL,
 		Avoid: req.Avoid,
 		Req:   &r,
 	})
@@ -186,7 +190,7 @@ func (n *Node) gossipHead() {
 		Kind:   ctrlTreeHead,
 		From:   n.ID,
 		To:     addr.Broadcast,
-		TTL:    n.net.cfg.CtrlTTL,
+		TTL:    ctrlTTL,
 		Origin: n.ID,
 		Head:   &head,
 	}
@@ -311,7 +315,7 @@ func (n *Node) deliverCtrl(m *ctrlMsg) {
 			Kind:  ctrlVerifyRep,
 			From:  n.ID,
 			To:    m.Req.Investigator,
-			TTL:   n.net.cfg.CtrlTTL,
+			TTL:   ctrlTTL,
 			Avoid: m.Avoid,
 			Rep:   &rep,
 		})

@@ -9,26 +9,31 @@ import (
 )
 
 func TestMaxRoundsCapsInvestigation(t *testing.T) {
-	// A suspect whose evidence never resolves (everyone silent) must stop
-	// being investigated after MaxRounds.
-	sc := newScenario(t, append(honestAdvertisement(), addr.NodeAt(4)), nil)
+	// A suspect whose evidence never resolves must stop being
+	// investigated after maxRounds: it claims a link to a known member
+	// the observer cannot see, and every witness stays silent.
+	stranger := addr.NodeAt(7)
+	sc := newScenario(t, append(honestAdvertisement(), stranger), nil)
+	sc.det.cfg.KnownNodes.Add(stranger)
 	sc.tr.drop = addr.NewSet(addr.NodeAt(2), addr.NodeAt(3), addr.NodeAt(4),
 		addr.NodeAt(5), addr.NodeAt(6))
-	sc.det.cfg.MaxRounds = 5
 	sc.det.OpenInvestigation(sc.suspect, "test")
-	sc.sched.RunUntil(5 * time.Minute)
+	sc.sched.RunUntil(10 * time.Minute)
 
-	if got := sc.det.InvestigationCount(); got > 5 {
-		t.Errorf("investigations = %d, want <= 5", got)
+	if got := sc.det.InvestigationCount(); got != maxRounds {
+		t.Errorf("investigations = %d, want %d", got, maxRounds)
 	}
 	maxRound := 0
 	for _, r := range sc.reports {
+		if r.Verdict != trust.Unrecognized {
+			t.Fatalf("round %d resolved to %v; the cap is not exercised", r.Round, r.Verdict)
+		}
 		if r.Round > maxRound {
 			maxRound = r.Round
 		}
 	}
-	if maxRound > 5 {
-		t.Errorf("round %d exceeded MaxRounds", maxRound)
+	if maxRound != maxRounds {
+		t.Errorf("last round %d, want the cap %d", maxRound, maxRounds)
 	}
 }
 

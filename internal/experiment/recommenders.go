@@ -22,8 +22,8 @@ package experiment
 // dishonest recommenders' voice undiluted — the hostile regime the
 // deviation test exists for. The deltas are its value: with the test,
 // dishonest recommenders lose recommendation trust after a handful of
-// vectors and the MinMass floor silences what is left of their voice;
-// without it, framing and shielding scale with k unchecked.
+// vectors and the minimum recommendation mass silences what is left of
+// their voice; without it, framing and shielding scale with k unchecked.
 
 import (
 	"context"

@@ -130,12 +130,22 @@ type submitRequest struct {
 	Seed    *int64 `json:"seed,omitempty"`
 }
 
+// maxSubmitBytes caps a POST /v1/campaigns body. Every preset together
+// encodes to about 10 KB of spec JSON, so 1 MiB leaves ample room, while
+// an unbounded body could exhaust the service's memory.
+const maxSubmitBytes = 1 << 20
+
 // handleSubmit implements POST /v1/campaigns.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body exceeds the %d-byte limit", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}

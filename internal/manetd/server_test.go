@@ -240,6 +240,23 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyCap: a body past maxSubmitBytes is refused with 413 and
+// an error that names the bound.
+func TestSubmitBodyCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := `{"presets": ["` + strings.Repeat("a", maxSubmitBytes) + `"]}`
+	var out struct {
+		Error string `json:"error"`
+	}
+	resp := doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/v1/campaigns", body, &out)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("HTTP %d, want 413", resp.StatusCode)
+	}
+	if want := fmt.Sprint(maxSubmitBytes); !strings.Contains(out.Error, want) {
+		t.Errorf("error %q does not name the %s-byte bound", out.Error, want)
+	}
+}
+
 // TestQuotaReturns429 exhausts a one-campaign quota and checks both the
 // HTTP mapping and the metrics counter.
 func TestQuotaReturns429(t *testing.T) {

@@ -81,18 +81,6 @@ func (n *Node) expire() {
 			delete(n.dups, k)
 		}
 	}
-	for iface, until := range n.midUntil {
-		if until <= now {
-			delete(n.midUntil, iface)
-			delete(n.midAssoc, iface)
-		}
-	}
-	for nw, until := range n.hnaUntil {
-		if until <= now {
-			delete(n.hnaUntil, nw)
-			delete(n.hnaRoutes, nw)
-		}
-	}
 
 	if changed {
 		n.afterTopologyChange()

@@ -39,7 +39,7 @@ func (n *Node) buildHello() *wire.Hello {
 	for i := range cat {
 		slices.Sort(cat[i])
 	}
-	h := &wire.Hello{HTime: n.cfg.HelloInterval, Will: n.cfg.Willingness}
+	h := &wire.Hello{HTime: helloInterval, Will: wire.WillDefault}
 	add := func(code wire.LinkCode, nodes []addr.Node) {
 		if len(nodes) == 0 {
 			return
@@ -72,11 +72,11 @@ func (n *Node) sendHello() {
 		auditlog.FInt("will", int(h.Will)))
 	if n.tracer.On() {
 		n.tracer.Emit(trace.Event{Plane: trace.PlaneOLSR, Kind: trace.KindHelloTx,
-			Node: n.cfg.Addr.String(), V0: float64(len(syms))})
+			Node: n.self.String(), V0: float64(len(syms))})
 	}
 	n.broadcast(wire.Message{
-		VTime:      n.cfg.NeighborHold,
-		Originator: n.cfg.Addr,
+		VTime:      neighborHold,
+		Originator: n.self,
 		TTL:        1,
 		Seq:        n.nextMsgSeq(),
 		Body:       h,
@@ -103,7 +103,7 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 	for _, lb := range h.Links {
 		_, linkType := lb.Code.Split()
 		for _, x := range lb.Neighbors {
-			if x != n.cfg.Addr {
+			if x != n.self {
 				continue
 			}
 			if linkType == wire.LinkLost {
@@ -147,7 +147,7 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 		for _, lb := range h.Links {
 			nt, _ := lb.Code.Split()
 			for _, b := range lb.Neighbors {
-				if b == n.cfg.Addr {
+				if b == n.self {
 					continue
 				}
 				switch nt {
@@ -176,7 +176,7 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 			continue
 		}
 		for _, x := range lb.Neighbors {
-			if x == n.cfg.Addr {
+			if x == n.self {
 				selectedUs = true
 			}
 		}
@@ -202,7 +202,7 @@ func (n *Node) processHello(m *wire.Message, h *wire.Hello) {
 		auditlog.FInt("will", int(h.Will)))
 	if n.tracer.On() {
 		n.tracer.Emit(trace.Event{Plane: trace.PlaneOLSR, Kind: trace.KindHelloRx,
-			Node: n.cfg.Addr.String(), Peer: from.String(), V0: float64(len(advertised))})
+			Node: n.self.String(), Peer: from.String(), V0: float64(len(advertised))})
 	}
 
 	n.afterTopologyChange()

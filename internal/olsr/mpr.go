@@ -40,7 +40,7 @@ func (n *Node) selectMPRs() addr.Set {
 	clear(n.reachCount)
 	for _, via := range candidates {
 		for b, until := range n.twoHop[via] {
-			if until <= now || b == n.cfg.Addr || sym.Has(b) {
+			if until <= now || b == n.self || sym.Has(b) {
 				continue
 			}
 			n.coverCount[b]++

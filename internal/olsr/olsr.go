@@ -2,8 +2,9 @@
 // protocol (RFC 3626): link sensing and neighbor detection through HELLO
 // messages, MPR selection, topology diffusion through TC messages with the
 // default forwarding algorithm, and shortest-path routing-table
-// calculation. MID and HNA messages are supported for multi-interface and
-// gateway declarations.
+// calculation. Nodes have a single interface and no attached networks,
+// so MID and HNA messages are neither originated nor processed: like any
+// unknown type they are flooded by the default forwarding algorithm.
 //
 // Every externally observable action is recorded in an audit-log buffer;
 // the intrusion detection layer consumes only those logs, never the
@@ -27,61 +28,20 @@ import (
 	"repro/internal/wire"
 )
 
-// Config parameterizes one OLSR node. Zero fields take RFC 3626 §18.2
-// defaults.
-type Config struct {
-	Addr addr.Node // main address, required
-
-	HelloInterval time.Duration // default 2s
-	TCInterval    time.Duration // default 5s
-	MIDInterval   time.Duration // default 5s; used only with ExtraInterfaces
-	NeighborHold  time.Duration // default 3 * HelloInterval
-	TopologyHold  time.Duration // default 3 * TCInterval
-	DuplicateHold time.Duration // default 30s
-	ExpiryTick    time.Duration // housekeeping period, default 500ms
-	Jitter        float64       // emission jitter fraction, default 0.25
-
-	// Willingness defaults to WillDefault. Because WillNever's wire value
-	// is zero, expressing it requires WillingnessSet.
-	Willingness    wire.Willingness
-	WillingnessSet bool
-
-	// ExtraInterfaces are announced in MID messages.
-	ExtraInterfaces []addr.Node
-	// ExternalNetworks are announced in HNA messages.
-	ExternalNetworks []wire.HNANetwork
-}
-
-func (c Config) withDefaults() Config {
-	if c.HelloInterval <= 0 {
-		c.HelloInterval = 2 * time.Second
-	}
-	if c.TCInterval <= 0 {
-		c.TCInterval = 5 * time.Second
-	}
-	if c.MIDInterval <= 0 {
-		c.MIDInterval = 5 * time.Second
-	}
-	if c.NeighborHold <= 0 {
-		c.NeighborHold = 3 * c.HelloInterval
-	}
-	if c.TopologyHold <= 0 {
-		c.TopologyHold = 3 * c.TCInterval
-	}
-	if c.DuplicateHold <= 0 {
-		c.DuplicateHold = 30 * time.Second
-	}
-	if c.ExpiryTick <= 0 {
-		c.ExpiryTick = 500 * time.Millisecond
-	}
-	if c.Jitter <= 0 {
-		c.Jitter = 0.25
-	}
-	if !c.WillingnessSet && c.Willingness == 0 {
-		c.Willingness = wire.WillDefault
-	}
-	return c
-}
+// The RFC 3626 §18.2 protocol constants. The paper audits an unmodified
+// daemon on its default timers, and every preset runs on these values.
+const (
+	helloInterval = 2 * time.Second   // HELLO_INTERVAL
+	tcInterval    = 5 * time.Second   // TC_INTERVAL
+	neighborHold  = 3 * helloInterval // NEIGHB_HOLD_TIME
+	topologyHold  = 3 * tcInterval    // TOP_HOLD_TIME
+	duplicateHold = 30 * time.Second  // DUP_HOLD_TIME
+	// expiryTick is the period of the tuple-expiry housekeeping pass.
+	expiryTick = 500 * time.Millisecond
+	// jitter pulls each emission earlier by up to this fraction of its
+	// interval (MAXJITTER = HELLO_INTERVAL/4, §18.2).
+	jitter = 0.25
+)
 
 // Hooks let a behavior (an attack implementation) manipulate the node's
 // control traffic. Nil hooks are ignored.
@@ -134,7 +94,7 @@ type dupTuple struct {
 
 // Node is one OLSR routing agent.
 type Node struct {
-	cfg    Config
+	self   addr.Node // main address
 	sched  *sim.Scheduler
 	send   func(payload []byte) // one-hop broadcast
 	logb   *auditlog.Buffer     // may be nil
@@ -147,11 +107,7 @@ type Node struct {
 	selectors    map[addr.Node]time.Duration
 	topo         map[addr.Node]*topoEntry
 	dups         map[dupKey]*dupTuple
-	midAssoc     map[addr.Node]addr.Node           // interface -> main address
-	midUntil     map[addr.Node]time.Duration       // interface -> expiry
-	hnaRoutes    map[wire.HNANetwork]addr.Node     // network -> gateway
-	hnaUntil     map[wire.HNANetwork]time.Duration // network -> expiry
-	lastHelloSym map[addr.Node]addr.Set            // neighbor -> last advertised sym set
+	lastHelloSym map[addr.Node]addr.Set // neighbor -> last advertised sym set
 	routes       map[addr.Node]Route
 	routesDirty  bool // routes trail the topology; recomputed on read
 
@@ -191,9 +147,9 @@ type Node struct {
 // for its next emission: send must copy it before handing it to anything
 // that retains it past the call (a simulated medium keeps payloads alive
 // until delivery, so prefix-and-copy as internal/core does, or clone).
-func New(cfg Config, sched *sim.Scheduler, send func([]byte), logb *auditlog.Buffer) *Node {
+func New(self addr.Node, sched *sim.Scheduler, send func([]byte), logb *auditlog.Buffer) *Node {
 	return &Node{
-		cfg:          cfg.withDefaults(),
+		self:         self,
 		sched:        sched,
 		send:         send,
 		logb:         logb,
@@ -203,10 +159,6 @@ func New(cfg Config, sched *sim.Scheduler, send func([]byte), logb *auditlog.Buf
 		selectors:    make(map[addr.Node]time.Duration),
 		topo:         make(map[addr.Node]*topoEntry),
 		dups:         make(map[dupKey]*dupTuple),
-		midAssoc:     make(map[addr.Node]addr.Node),
-		midUntil:     make(map[addr.Node]time.Duration),
-		hnaRoutes:    make(map[wire.HNANetwork]addr.Node),
-		hnaUntil:     make(map[wire.HNANetwork]time.Duration),
 		lastHelloSym: make(map[addr.Node]addr.Set),
 		routes:       make(map[addr.Node]Route),
 		prevSym:      make(addr.Set),
@@ -238,10 +190,7 @@ func (n *Node) Exclude(x addr.Node, banned bool) {
 func (n *Node) Excluded() addr.Set { return n.excluded.Clone() }
 
 // Addr returns the node's main address.
-func (n *Node) Addr() addr.Node { return n.cfg.Addr }
-
-// Config returns the node's effective (defaulted) configuration.
-func (n *Node) Config() Config { return n.cfg }
+func (n *Node) Addr() addr.Node { return n.self }
 
 // SetHooks installs attack hooks. Must be called before Start.
 func (n *Node) SetHooks(h Hooks) { n.hooks = h }
@@ -256,18 +205,11 @@ func (n *Node) Start() {
 		return
 	}
 	n.started = true
-	c := n.cfg
 	n.tickers = append(n.tickers,
-		n.sched.Every(0, c.HelloInterval, c.Jitter, n.sendHello),
-		n.sched.Every(c.HelloInterval/2, c.TCInterval, c.Jitter, n.sendTC),
-		n.sched.Every(c.ExpiryTick, c.ExpiryTick, 0, n.expire),
+		n.sched.Every(0, helloInterval, jitter, n.sendHello),
+		n.sched.Every(helloInterval/2, tcInterval, jitter, n.sendTC),
+		n.sched.Every(expiryTick, expiryTick, 0, n.expire),
 	)
-	if len(c.ExtraInterfaces) > 0 {
-		n.tickers = append(n.tickers, n.sched.Every(c.MIDInterval/3, c.MIDInterval, c.Jitter, n.sendMID))
-	}
-	if len(c.ExternalNetworks) > 0 {
-		n.tickers = append(n.tickers, n.sched.Every(c.TCInterval/3, c.TCInterval, c.Jitter, n.sendHNA))
-	}
 }
 
 // Stop cancels the node's timers.
@@ -285,7 +227,7 @@ func (n *Node) log(kind auditlog.Kind, fields ...auditlog.Field) {
 	if n.logb == nil {
 		return
 	}
-	n.logb.Append(auditlog.Record{T: n.now(), Node: n.cfg.Addr, Kind: kind, Fields: fields})
+	n.logb.Append(auditlog.Record{T: n.now(), Node: n.self, Kind: kind, Fields: fields})
 }
 
 // nextMsgSeq returns the next message sequence number.
@@ -391,7 +333,7 @@ func (n *Node) TwoHopNeighbors() addr.Set {
 			continue
 		}
 		for b, until := range m {
-			if until > n.now() && b != n.cfg.Addr && !sym.Has(b) {
+			if until > n.now() && b != n.self && !sym.Has(b) {
 				out.Add(b)
 			}
 		}
@@ -497,25 +439,6 @@ func (n *Node) RouteTo(dst addr.Node) (Route, bool) {
 	return r, ok
 }
 
-// MainAddrOf resolves an interface address to a main address using the MID
-// association set; unknown interfaces map to themselves.
-func (n *Node) MainAddrOf(iface addr.Node) addr.Node {
-	if main, ok := n.midAssoc[iface]; ok && n.midUntil[iface] > n.now() {
-		return main
-	}
-	return iface
-}
-
-// GatewayFor returns the HNA gateway currently announcing the network, if
-// any.
-func (n *Node) GatewayFor(nw wire.HNANetwork) (addr.Node, bool) {
-	gw, ok := n.hnaRoutes[nw]
-	if !ok || n.hnaUntil[nw] <= n.now() {
-		return addr.None, false
-	}
-	return gw, true
-}
-
 // TopologyLinks returns the learned (lastHop -> dest) topology pairs,
 // sorted, for inspection by tests and debug tools.
 func (n *Node) TopologyLinks() [][2]addr.Node {
@@ -566,7 +489,7 @@ func (n *Node) HandlePacket(sender addr.Node, data []byte) {
 
 func (n *Node) handleMessage(sender addr.Node, m *wire.Message) {
 	n.msgRx++
-	if m.Originator == n.cfg.Addr {
+	if m.Originator == n.self {
 		// Our own message echoed back by a forwarder. The MSG_DROP log with
 		// reason=own is load-bearing: it proves the neighbor relayed our
 		// traffic, which the drop-attack signature relies on.
@@ -601,7 +524,7 @@ func (n *Node) handleMessage(sender addr.Node, m *wire.Message) {
 		d = &dupTuple{}
 		n.dups[key] = d
 	}
-	d.until = n.now() + n.cfg.DuplicateHold
+	d.until = n.now() + duplicateHold
 
 	if d.processed {
 		n.msgDrop++
@@ -614,12 +537,9 @@ func (n *Node) handleMessage(sender addr.Node, m *wire.Message) {
 		switch body := m.Body.(type) {
 		case *wire.TC:
 			n.processTC(sender, m, body)
-		case *wire.MID:
-			n.processMID(m, body)
-		case *wire.HNA:
-			n.processHNA(m, body)
 		case *wire.RawBody:
-			// Unknown types are forwarded but not processed (RFC §3.4).
+			// Unknown types, MID and HNA among them, are forwarded but
+			// not processed (RFC §3.4).
 		}
 	}
 	n.maybeForward(sender, m, d)

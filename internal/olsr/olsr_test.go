@@ -32,7 +32,7 @@ func newTestNet(seed int64, rangeM float64, positions map[addr.Node]geo.Point) *
 		logs:   make(map[addr.Node]*auditlog.Buffer),
 	}
 	for _, id := range addr.NewSet(keys(positions)...).Sorted() {
-		tn.addNode(id, positions[id], Config{Addr: id})
+		tn.addNode(id, positions[id])
 	}
 	return tn
 }
@@ -45,11 +45,11 @@ func keys(m map[addr.Node]geo.Point) []addr.Node {
 	return out
 }
 
-func (tn *testNet) addNode(id addr.Node, pos geo.Point, cfg Config) *Node {
+func (tn *testNet) addNode(id addr.Node, pos geo.Point) *Node {
 	logb := &auditlog.Buffer{}
 	// The medium retains payloads until delivery and the node reuses its
 	// encode buffer, so the send callback must hand over a copy.
-	node := New(cfg, tn.sched, func(b []byte) {
+	node := New(id, tn.sched, func(b []byte) {
 		tn.medium.Send(id, addr.Broadcast, append([]byte(nil), b...))
 	}, logb)
 	tn.medium.Attach(id, func() geo.Point { return pos }, func(f radio.Frame) {
@@ -59,6 +59,12 @@ func (tn *testNet) addNode(id addr.Node, pos geo.Point, cfg Config) *Node {
 	tn.logs[id] = logb
 	tn.order = append(tn.order, id)
 	return node
+}
+
+// advertiseWill makes n advertise will instead of WillDefault in every
+// HELLO it emits.
+func advertiseWill(n *Node, will wire.Willingness) {
+	n.SetHooks(Hooks{ModifyHello: func(h *wire.Hello) { h.Will = will }})
 }
 
 func (tn *testNet) start() {
@@ -83,7 +89,7 @@ func newLossyTestNet(seed int64, rangeM, loss float64, positions map[addr.Node]g
 		logs:  make(map[addr.Node]*auditlog.Buffer),
 	}
 	for _, id := range addr.NewSet(keys(positions)...).Sorted() {
-		tn.addNode(id, positions[id], Config{Addr: id})
+		tn.addNode(id, positions[id])
 	}
 	return tn
 }
@@ -237,9 +243,7 @@ func TestWillNeverNeverSelected(t *testing.T) {
 		addr.NodeAt(3): geo.Pt(200, 0),
 	}
 	tn := newTestNet(5, 150, pos)
-	tn.addNode(addr.NodeAt(2), geo.Pt(100, 0), Config{
-		Addr: addr.NodeAt(2), Willingness: wire.WillNever, WillingnessSet: true,
-	})
+	advertiseWill(tn.addNode(addr.NodeAt(2), geo.Pt(100, 0)), wire.WillNever)
 	tn.start()
 	tn.run(20 * time.Second)
 
@@ -256,7 +260,7 @@ func TestWillAlwaysAlwaysSelected(t *testing.T) {
 		addr.NodeAt(4): geo.Pt(200, 0),
 	}
 	tn := newTestNet(6, 150, pos)
-	tn.addNode(addr.NodeAt(2), geo.Pt(100, -50), Config{Addr: addr.NodeAt(2), Willingness: wire.WillAlways})
+	advertiseWill(tn.addNode(addr.NodeAt(2), geo.Pt(100, -50)), wire.WillAlways)
 	tn.start()
 	tn.run(20 * time.Second)
 
@@ -393,37 +397,28 @@ func TestModifyHelloSpoofsTwoHopView(t *testing.T) {
 	}
 }
 
-func TestMIDAssociation(t *testing.T) {
-	tn := lineNet(11, 2, 100, 150)
-	iface := addr.NodeAt(200)
-	tn.addNode(addr.NodeAt(3), geo.Pt(200, 0), Config{
-		Addr: addr.NodeAt(3), ExtraInterfaces: []addr.Node{iface},
-	})
+func TestMIDAndHNAForwardedAsUnknown(t *testing.T) {
+	// Nodes originate neither MID nor HNA, and a received one is an
+	// unknown type: unprocessed, but flooded by the default forwarding
+	// algorithm (RFC 3626 §3.4) like any other.
+	tn := lineNet(11, 3, 100, 150)
 	tn.start()
 	tn.run(30 * time.Second)
-
-	// Node 1 is two hops from node 3; the MID must have been flooded.
-	if got := tn.nodes[addr.NodeAt(1)].MainAddrOf(iface); got != addr.NodeAt(3) {
-		t.Errorf("MainAddrOf(%v) = %v, want %v", iface, got, addr.NodeAt(3))
+	relay := tn.nodes[addr.NodeAt(2)]
+	if !relay.MPRSelectors().Has(addr.NodeAt(1)) {
+		t.Fatalf("node 1 did not select node 2 as MPR: %v", relay.MPRSelectors())
 	}
-	// Unknown interfaces map to themselves.
-	if got := tn.nodes[addr.NodeAt(1)].MainAddrOf(addr.NodeAt(77)); got != addr.NodeAt(77) {
-		t.Errorf("unknown interface mapped to %v", got)
-	}
-}
-
-func TestHNAGateway(t *testing.T) {
-	nw := wire.HNANetwork{Network: addr.Node(0xc0a80000), Mask: addr.Node(0xffff0000)}
-	tn := lineNet(12, 2, 100, 150)
-	tn.addNode(addr.NodeAt(3), geo.Pt(200, 0), Config{
-		Addr: addr.NodeAt(3), ExternalNetworks: []wire.HNANetwork{nw},
-	})
-	tn.start()
-	tn.run(30 * time.Second)
-
-	gw, ok := tn.nodes[addr.NodeAt(1)].GatewayFor(nw)
-	if !ok || gw != addr.NodeAt(3) {
-		t.Errorf("GatewayFor = %v, %v; want node 3", gw, ok)
+	before := relay.Stats().TCFwd
+	pkt := &wire.Packet{Seq: 1, Messages: []wire.Message{{
+		VTime: 15 * time.Second, Originator: addr.NodeAt(1), TTL: 255, Seq: 900,
+		Body: &wire.RawBody{Type: wire.MsgMID, Data: []byte{10, 0, 0, 200}},
+	}, {
+		VTime: 15 * time.Second, Originator: addr.NodeAt(1), TTL: 255, Seq: 901,
+		Body: &wire.RawBody{Type: wire.MsgHNA, Data: []byte{192, 168, 0, 0, 255, 255, 0, 0}},
+	}}}
+	relay.HandlePacket(addr.NodeAt(1), pkt.Encode())
+	if got := relay.Stats().TCFwd - before; got != 2 {
+		t.Errorf("relay forwarded %d of the MID/HNA messages, want 2", got)
 	}
 }
 
@@ -503,7 +498,7 @@ func TestANSNStaleTCDropped(t *testing.T) {
 	// Hand-feed TCs to a node with a prepared symmetric link.
 	sched := sim.New(14)
 	var sent [][]byte
-	n := New(Config{Addr: addr.NodeAt(1)}, sched, func(b []byte) { sent = append(sent, b) }, nil)
+	n := New(addr.NodeAt(1), sched, func(b []byte) { sent = append(sent, b) }, nil)
 
 	// Fake a symmetric link with node 2 by processing a HELLO that lists us.
 	hello := &wire.Hello{HTime: 2 * time.Second, Will: wire.WillDefault, Links: []wire.LinkBlock{{
@@ -613,28 +608,10 @@ func TestStopSilencesNode(t *testing.T) {
 func TestBadPacketLogged(t *testing.T) {
 	sched := sim.New(18)
 	logb := &auditlog.Buffer{}
-	n := New(Config{Addr: addr.NodeAt(1)}, sched, func([]byte) {}, logb)
+	n := New(addr.NodeAt(1), sched, func([]byte) {}, logb)
 	n.HandlePacket(addr.NodeAt(2), []byte{0xff, 0xff, 0x00})
 	recs, _ := logb.Since(0)
 	if len(recs) != 1 || recs[0].Kind != auditlog.KindBadPacket {
 		t.Fatalf("records = %+v", recs)
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	c := Config{Addr: addr.NodeAt(1)}.withDefaults()
-	if c.HelloInterval != 2*time.Second || c.TCInterval != 5*time.Second {
-		t.Errorf("intervals = %v/%v", c.HelloInterval, c.TCInterval)
-	}
-	if c.NeighborHold != 6*time.Second || c.TopologyHold != 15*time.Second {
-		t.Errorf("holds = %v/%v", c.NeighborHold, c.TopologyHold)
-	}
-	if c.Willingness != wire.WillDefault {
-		t.Errorf("will = %v", c.Willingness)
-	}
-	// Explicit values survive.
-	c2 := Config{Addr: addr.NodeAt(1), HelloInterval: time.Second}.withDefaults()
-	if c2.HelloInterval != time.Second || c2.NeighborHold != 3*time.Second {
-		t.Errorf("explicit hello interval mishandled: %+v", c2)
 	}
 }

@@ -45,7 +45,7 @@ func (n *Node) calculateRoutes() map[addr.Node]Route {
 	})
 	for _, via := range vias {
 		for b, until := range n.twoHop[via] {
-			if until <= now || b == n.cfg.Addr {
+			if until <= now || b == n.self {
 				continue
 			}
 			if _, have := routes[b]; have {
@@ -82,7 +82,7 @@ func (n *Node) calculateRoutes() map[addr.Node]Route {
 			slices.Sort(dests)
 			n.viaScratch = dests
 			for _, d := range dests {
-				if d == n.cfg.Addr {
+				if d == n.self {
 					continue
 				}
 				if _, have := routes[d]; have {

@@ -110,7 +110,7 @@ func (l *mapLedger) BootstrapTrust(subject addr.Node, now time.Duration) (float6
 		mass += rec.R
 		recs = append(recs, rec)
 	}
-	if len(recs) == 0 || mass < l.cfg.MinMass {
+	if len(recs) == 0 || mass < minMass {
 		return 0, false
 	}
 	if len(recs) == 1 {

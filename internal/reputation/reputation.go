@@ -52,14 +52,15 @@ type Config struct {
 	// DishonestAfter is how many majority-failed vectors from one
 	// recommender trigger the OnDishonest callback (default 3).
 	DishonestAfter int
-	// MinMass is the minimum total recommendation trust ΣR behind a
-	// bootstrap (default 0.2, half a fresh recommender's default R):
-	// below it BootstrapTrust abstains rather than hand the caller an
-	// opinion nobody creditworthy stands behind. This is what stops a
-	// deviation-collapsed recommender from still framing strangers — its
-	// reports survive in the table, but carry no usable mass.
-	MinMass float64
 }
+
+// minMass is the minimum total recommendation trust ΣR behind a
+// bootstrap (half a fresh recommender's default R): below it
+// BootstrapTrust abstains rather than hand the caller an opinion nobody
+// creditworthy stands behind. This is what stops a deviation-collapsed
+// recommender from still framing strangers — its reports survive in the
+// table, but carry no usable mass.
+const minMass = 0.2
 
 func (c Config) withDefaults() Config {
 	if c.Deviation <= 0 {
@@ -73,9 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DishonestAfter <= 0 {
 		c.DishonestAfter = 3
-	}
-	if c.MinMass <= 0 {
-		c.MinMass = 0.2
 	}
 	return c
 }
@@ -297,7 +295,7 @@ func (l *Ledger) Ingest(recommender addr.Node, entries []Entry, now time.Duratio
 // paths combine by multipath aggregation (Eq. 7: recommendation-trust-
 // weighted mean of the reported values). The boolean is false when no
 // usable recommendation exists — none stored, none fresh, or the total
-// recommendation mass ΣR below MinMass — leaving the caller on the cold
+// recommendation mass ΣR below minMass — leaving the caller on the cold
 // default.
 func (l *Ledger) BootstrapTrust(subject addr.Node, now time.Duration) (float64, bool) {
 	slot, ok := l.ix.Slot(subject)
@@ -317,7 +315,7 @@ func (l *Ledger) BootstrapTrust(subject addr.Node, now time.Duration) (float64, 
 		recs = append(recs, rec)
 	}
 	l.recsScratch = recs
-	if len(recs) == 0 || mass < l.cfg.MinMass {
+	if len(recs) == 0 || mass < minMass {
 		return 0, false
 	}
 	if len(recs) == 1 {

@@ -252,6 +252,21 @@ const SpecVersion = 1
 // meters: float64 resolves well under a millimetre there.
 const maxCoord = 1e6
 
+// minInterval floors every periodic interval a spec sets: the storm
+// emission period and the tree-head and trust-vector gossip periods.
+// Below it a handful of nodes floods the scheduler (a 1 µs storm on 8
+// nodes ran for minutes of wall time). The defaults are 400 ms and up.
+const minInterval = 10 * time.Millisecond
+
+// checkInterval rejects a nonzero interval below minInterval (zero
+// means "default").
+func checkInterval(name string, d Duration) error {
+	if d != 0 && d.D() < minInterval {
+		return fmt.Errorf("%s %s below the %s floor", name, d, minInterval)
+	}
+	return nil
+}
+
 // Spec is a complete declarative scenario.
 type Spec struct {
 	// Version is the wire-format version (0 or SpecVersion today; 0
@@ -387,6 +402,16 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario %q: negative %s %v", s.Name, f.name, f.val)
 		}
 	}
+	if raw.Evidence != nil {
+		if err := checkInterval("evidence.gossipInterval", raw.Evidence.GossipInterval); err != nil {
+			return fmt.Errorf("scenario %q: %w", s.Name, err)
+		}
+	}
+	if raw.Reputation != nil {
+		if err := checkInterval("reputation.gossipInterval", raw.Reputation.GossipInterval); err != nil {
+			return fmt.Errorf("scenario %q: %w", s.Name, err)
+		}
+	}
 	// Past maxCoord a float64 position no longer resolves a walker's
 	// steps, and the radio grid's speed guard would mistake the rounding
 	// for a jump.
@@ -502,6 +527,9 @@ func (s Spec) validateAttack(a AttackSpec) error {
 	case "storm":
 		if !inPop(a.Peer) {
 			return fmt.Errorf("storm: masqueraded peer %d outside population %d", a.Peer, s.Nodes)
+		}
+		if err := checkInterval("storm: interval", a.Interval); err != nil {
+			return err
 		}
 	case "logforge":
 		if s.Evidence == nil || !s.Evidence.Enabled {

@@ -140,6 +140,11 @@ func invalidSpecs() []Spec {
 		{Name: "a-neg-for", Attacks: []AttackSpec{{Kind: "storm", Node: 1, Peer: 2, For: Dur(-time.Second)}}},
 		{Name: "a-neg-interval", Attacks: []AttackSpec{{Kind: "storm", Node: 1, Peer: 2, Interval: Dur(-time.Second)}}},
 		{Name: "a-neg-delay", Attacks: []AttackSpec{{Kind: "wormhole", Node: 1, Peer: 2, Delay: Dur(-time.Second)}}},
+		// Periodic intervals below the 10 ms floor.
+		{Name: "storm-1us", Nodes: 8, Attacks: []AttackSpec{{Kind: "storm", Node: 1, Peer: 2, Interval: Dur(time.Microsecond)}}},
+		{Name: "ev-gossip-9ms", Evidence: &EvidenceSpec{Enabled: true, GossipInterval: Dur(9 * time.Millisecond)}},
+		{Name: "ev-gossip-neg", Evidence: &EvidenceSpec{Enabled: true, GossipInterval: Dur(-time.Second)}},
+		{Name: "rep-gossip-1us", Reputation: &ReputationSpec{Enabled: true, GossipInterval: Dur(time.Microsecond)}},
 		// One role-bearing attack per node: a spoofer and a drop hook on
 		// the same router cannot coexist (NodeSpec installs one of them).
 		{Name: "dup-role", Attacks: []AttackSpec{

@@ -296,7 +296,7 @@ func TestMPRAddedRuleWarmup(t *testing.T) {
 }
 
 func TestEngineFeedsAllRules(t *testing.T) {
-	eng := NewEngine(Catalog(DefaultCatalogConfig(addr.NodeAt(1)))...)
+	eng := NewEngine(Catalog()...)
 	var events []logevent.Event
 	// A storm: 12 TCs in 6 seconds from one originator.
 	for i := 0; i < 12; i++ {
@@ -315,7 +315,7 @@ func TestEngineFeedsAllRules(t *testing.T) {
 }
 
 func TestEngineQuietOnNormalTraffic(t *testing.T) {
-	eng := NewEngine(Catalog(DefaultCatalogConfig(addr.NodeAt(1)))...)
+	eng := NewEngine(Catalog()...)
 	var events []logevent.Event
 	// Normal-rate traffic: one TC per origin per 5s, HELLOs every 2s,
 	// each TC_TX echoed promptly.

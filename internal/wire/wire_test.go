@@ -171,26 +171,37 @@ func TestEmptyTC(t *testing.T) {
 	}
 }
 
-func TestMIDRoundTrip(t *testing.T) {
-	p := &Packet{Messages: []Message{{
-		VTime: 15 * time.Second, Originator: addr.NodeAt(3),
-		Body: &MID{Interfaces: []addr.Node{addr.NodeAt(100), addr.NodeAt(101)}},
-	}}}
-	mid, ok := roundTrip(t, p).Messages[0].Body.(*MID)
-	if !ok || len(mid.Interfaces) != 2 || mid.Interfaces[1] != addr.NodeAt(101) {
-		t.Fatalf("mid = %+v", mid)
+// rawRoundTrip checks that a body of type mt decodes as RawBody and
+// re-encodes to the original bytes.
+func rawRoundTrip(t *testing.T, mt MessageType, data []byte) {
+	t.Helper()
+	enc := (&Packet{Messages: []Message{{
+		VTime: 15 * time.Second, Originator: addr.NodeAt(3), TTL: 255, Seq: 4,
+		Body: &RawBody{Type: mt, Data: data},
+	}}}).Encode()
+	got, err := DecodePacket(enc)
+	if err != nil {
+		t.Fatalf("DecodePacket: %v", err)
+	}
+	raw, ok := got.Messages[0].Body.(*RawBody)
+	if !ok || raw.Type != mt || !reflect.DeepEqual(raw.Data, data) {
+		t.Fatalf("body = %+v", got.Messages[0].Body)
+	}
+	if re := got.Encode(); !reflect.DeepEqual(re, enc) {
+		t.Fatalf("re-encode differs:\n got %x\nwant %x", re, enc)
 	}
 }
 
+// MID and HNA are not interpreted: they decode as RawBody, ragged bodies
+// included, and are forwarded byte-exactly.
+func TestMIDRoundTrip(t *testing.T) {
+	rawRoundTrip(t, MsgMID, []byte{10, 0, 0, 100, 10, 0, 0, 101})
+	rawRoundTrip(t, MsgMID, []byte{10, 0, 0, 100, 10, 0})
+}
+
 func TestHNARoundTrip(t *testing.T) {
-	p := &Packet{Messages: []Message{{
-		VTime: 15 * time.Second, Originator: addr.NodeAt(3),
-		Body: &HNA{Networks: []HNANetwork{{Network: addr.Node(0xc0a80000), Mask: addr.Node(0xffff0000)}}},
-	}}}
-	hna, ok := roundTrip(t, p).Messages[0].Body.(*HNA)
-	if !ok || len(hna.Networks) != 1 || hna.Networks[0].Mask != addr.Node(0xffff0000) {
-		t.Fatalf("hna = %+v", hna)
-	}
+	rawRoundTrip(t, MsgHNA, []byte{192, 168, 0, 0, 255, 255, 0, 0})
+	rawRoundTrip(t, MsgHNA, []byte{192, 168, 0, 0, 255, 255, 0, 0, 10, 0, 0, 0})
 }
 
 func TestUnknownTypeRoundTrip(t *testing.T) {
@@ -211,7 +222,7 @@ func TestMultiMessagePacket(t *testing.T) {
 		{VTime: 15 * time.Second, Originator: addr.NodeAt(1), TTL: 255, Seq: 2,
 			Body: &TC{ANSN: 5, Advertised: []addr.Node{addr.NodeAt(7)}}},
 		{VTime: 15 * time.Second, Originator: addr.NodeAt(1), TTL: 255, Seq: 3,
-			Body: &MID{Interfaces: []addr.Node{addr.NodeAt(50)}}},
+			Body: &RawBody{Type: MsgMID, Data: []byte{10, 0, 0, 50}}},
 	}}
 	got := roundTrip(t, p)
 	if len(got.Messages) != 3 {
@@ -294,8 +305,6 @@ func TestDecodeBadBodyLengths(t *testing.T) {
 	}{
 		{"tc too short", mk(MsgTC, 2)},
 		{"tc ragged", mk(MsgTC, 7)},
-		{"mid ragged", mk(MsgMID, 6)},
-		{"hna ragged", mk(MsgHNA, 12)},
 		{"hello too short", mk(MsgHello, 2)},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
@@ -336,19 +345,13 @@ func randomPacket(rng *rand.Rand) *Packet {
 			}
 			m.Body = tc
 		case 2:
-			mid := &MID{}
-			for j := 0; j < rng.Intn(4); j++ {
-				mid.Interfaces = append(mid.Interfaces, addr.NodeAt(1+rng.Intn(250)))
-			}
-			m.Body = mid
+			data := make([]byte, 4*rng.Intn(4))
+			rng.Read(data)
+			m.Body = &RawBody{Type: MsgMID, Data: data}
 		default:
-			hna := &HNA{}
-			for j := 0; j < rng.Intn(3); j++ {
-				hna.Networks = append(hna.Networks, HNANetwork{
-					Network: addr.Node(rng.Uint32()), Mask: addr.Node(rng.Uint32()),
-				})
-			}
-			m.Body = hna
+			data := make([]byte, 8*rng.Intn(3))
+			rng.Read(data)
+			m.Body = &RawBody{Type: MsgHNA, Data: data}
 		}
 		p.Messages = append(p.Messages, m)
 	}
@@ -417,7 +420,7 @@ func TestAppendToMatchesEncode(t *testing.T) {
 			Body: &TC{ANSN: 12, Advertised: []addr.Node{addr.NodeAt(1), addr.NodeAt(9)}},
 		}, {
 			VTime: 15 * time.Second, Originator: addr.NodeAt(5), TTL: 64, Seq: 78,
-			Body: &MID{Interfaces: []addr.Node{addr.NodeAt(40)}},
+			Body: &RawBody{Type: MsgMID, Data: []byte{10, 0, 0, 40}},
 		}}},
 	}
 	buf := []byte{0xde, 0xad, 0xbe, 0xef} // dirty scratch, reused across packets
